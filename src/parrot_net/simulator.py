@@ -13,15 +13,16 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from array import array
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable
 
 from . import channel as radio
 from .channel import LinkBudget, default_budget
-from .chirp import CHIRP_SIZE, decode_chirp, encode_chirp
+from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
 from .errors import ConfigError
 from .kinematics import (
     KinematicState,
@@ -170,18 +171,14 @@ class _PacketState:
 
 
 class _Node:
-    def __init__(self, node_id: int, kin: KinematicState, routing: RoutingState):
+    def __init__(self, node_id: int, position: Vec3, routing: RoutingState):
         self.id = node_id
-        self.kin = kin
+        self.position = position  # at the latest mobility tick
         self.routing = routing
         self.queue: deque[Frame] = deque()
         self.transmitting: Frame | None = None
         self.inflight: list[_Reception] = []
         self.seen_flood: set[int] = set()
-
-    @property
-    def position(self) -> Vec3:
-        return self.kin.position
 
 
 def greedy_next_hop(
@@ -211,7 +208,8 @@ def optimal_pdr_bound(
 
     For each emission time, take the latest trace snapshot and test
     sender-receiver reachability in the disk graph of radius r_tx by
-    breadth-first search.  Load-related loss is invisible to this figure.
+    breadth-first search, once per snapshot that some emission falls in.
+    Load-related loss is invisible to this figure.
     It is a PDR upper bound under the rural disk channel; under urban
     fading, where a frame can cross more than r_tx, it is a
     disk-connectivity reference and PDR may exceed it.
@@ -219,12 +217,11 @@ def optimal_pdr_bound(
     if not emission_times:
         return 0.0
     times = [t for t, _ in trace]
-    reachable = 0
-    for emit in emission_times:
-        idx = max(bisect_right(times, emit) - 1, 0)
-        positions = trace[idx][1]
-        if _reaches(positions, r_tx, sender, receiver):
-            reachable += 1
+    per_snapshot = Counter(max(bisect_right(times, emit) - 1, 0) for emit in emission_times)
+    reachable = sum(
+        count for idx, count in per_snapshot.items()
+        if _reaches(trace[idx][1], r_tx, sender, receiver)
+    )
     return reachable / len(emission_times)
 
 
@@ -261,30 +258,95 @@ class Simulation:
         self.rng_mac = Random(stable_seed(scenario.seed, "mac"))
         rng_traffic = Random(stable_seed(scenario.seed, "traffic"))
 
+        cfg = scenario.mobility
+        self._n_ticks = int(scenario.duration / cfg.dt + 1e-9)
+        # Ticks in the self-prediction horizon, as the waypoint predictor
+        # counts its virtual steps.
+        self._lead = int(cfg.tau / cfg.dt + 1e-9)
+        states = [
+            make_random_waypoint_state(
+                scenario.box, scenario.speed, scenario.duration,
+                Random(stable_seed(scenario.seed, "mobility", i)), cfg,
+            )
+            for i in range(scenario.nodes)
+        ]
+        self._build_motion(states)
+        self._tick_index = 0
         self.nodes: list[_Node] = []
         for i in range(scenario.nodes):
-            rng_i = Random(stable_seed(scenario.seed, "mobility", i))
-            kin = make_random_waypoint_state(
-                scenario.box, scenario.speed, scenario.duration, rng_i, scenario.mobility
-            )
+            position = self._position(0, i)
             routing = RoutingState(i, replace(params), now=0.0)
-            routing.update_self(kin.position, predict_position(kin, scenario.mobility))
-            self.nodes.append(_Node(i, kin, routing))
+            routing.update_self(position, self._self_prediction(i, 0))
+            self.nodes.append(_Node(i, position, routing))
+        # Link rows of the current tick, per sender; see _link_row.
+        self._rows: list[dict[_Node, float] | None] = [None] * scenario.nodes
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
 
         # Metrics and bookkeeping.
-        self.trace: list[tuple[float, tuple[Vec3, ...]]] = []
         self.emission_times: list[float] = []
         self.packets: dict[int, _PacketState] = {}
         self.latencies: list[float] = []
         self._next_pid = 0
         self.chirp_frames = 0
         self.drops = {cause: 0 for cause in DROP_CAUSES}
-        self._trace_file = None
 
-        self._snapshot_trace()
         self._preschedule()
+
+    # -- motion ---------------------------------------------------------------
+
+    def _build_motion(self, states: list[KinematicState]) -> None:
+        """Step every node once per tick up to duration + tau.
+
+        `_motion` holds the coordinates of every node at every tick, read
+        through `_position(k, i)`; plain floats take about a fifth of the
+        memory of `Vec3`s.  The waypoint predictor replays this very motion
+        law, so the self-prediction at tick k is the position at k + `_lead`.
+        `_exhausted[i]` is the first tick at which node i has no waypoint
+        left (past the table if none), from where prediction falls back to
+        the slope of its position history.
+        """
+        cfg = self.sc.mobility
+        n_steps = self._n_ticks + self._lead
+        self._motion = array("d")
+        self._exhausted = [n_steps + 1] * len(states)
+        for k in range(n_steps + 1):
+            if k:
+                states = [step_random_waypoint(s, cfg) for s in states]
+            for i, s in enumerate(states):
+                p = s.position
+                self._motion.extend((p.x, p.y, p.z))
+                if k < self._exhausted[i] and s.remaining_waypoints() == 0:
+                    self._exhausted[i] = k
+
+    def _position(self, k: int, i: int) -> Vec3:
+        j = 3 * (k * self.sc.nodes + i)
+        m = self._motion
+        return Vec3(m[j], m[j + 1], m[j + 2])
+
+    def _self_prediction(self, i: int, k: int) -> Vec3:
+        if k < self._exhausted[i]:
+            return self._position(k + self._lead, i)
+        # The state predict_position would see: the history ring of the
+        # last h positions and an empty waypoint queue.
+        cfg = self.sc.mobility
+        history = tuple(self._position(j, i) for j in range(max(0, k - cfg.h + 1), k + 1))
+        return predict_position(KinematicState(history[-1], self.sc.speed, history=history), cfg)
+
+    @property
+    def trace(self) -> list[tuple[float, tuple[Vec3, ...]]]:
+        """(time, positions) of every mobility tick run so far, t = 0 first."""
+        dt = self.sc.mobility.dt
+        return [
+            (k * dt, tuple(self._position(k, i) for i in range(self.sc.nodes)))
+            for k in range(self._tick_index + 1)
+        ]
+
+    def _write_trace(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as out:
+            for t, positions in self.trace:
+                for i, pos in enumerate(positions):
+                    out.write(f"{t:.6f},{i},{pos.x:.6f},{pos.y:.6f},{pos.z:.6f}\n")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -296,8 +358,7 @@ class Simulation:
         sc = self.sc
         # Mobility ticks first: they receive the lowest tiebreakers, so at
         # coinciding timestamps positions update before anything else fires.
-        n_ticks = int(sc.duration / sc.mobility.dt + 1e-9)
-        for k in range(1, n_ticks + 1):
+        for k in range(1, self._n_ticks + 1):
             self._schedule(k * sc.mobility.dt, self._tick)
         for node in self.nodes:
             offset = self.rng_mac.uniform(0.0, sc.routing.chirp_interval)
@@ -317,21 +378,13 @@ class Simulation:
     # -- event handlers -----------------------------------------------------
 
     def _tick(self) -> None:
-        cfg = self.sc.mobility
+        self._tick_index += 1
+        k = self._tick_index
         for node in self.nodes:
-            node.kin = step_random_waypoint(node.kin, cfg)
-            node.routing.update_self(node.kin.position, predict_position(node.kin, cfg))
+            node.position = self._position(k, node.id)
+            node.routing.update_self(node.position, self._self_prediction(node.id, k))
             node.routing.expire(self.now)
-        self._snapshot_trace()
-
-    def _snapshot_trace(self) -> None:
-        positions = tuple(node.kin.position for node in self.nodes)
-        self.trace.append((self.now, positions))
-        if self._trace_file is not None:
-            for node, pos in zip(self.nodes, positions):
-                self._trace_file.write(
-                    f"{self.now:.6f},{node.id},{pos.x:.6f},{pos.y:.6f},{pos.z:.6f}\n"
-                )
+        self._rows = [None] * len(self.nodes)
 
     def _emit_chirp(self, node: _Node) -> None:
         chirp = node.routing.make_chirp(self.now)
@@ -374,8 +427,8 @@ class Simulation:
         elif proto == "greedy":
             positions = {j: rec.position for j, rec in node.routing.neighbors.items()}
             # Destination position is an oracle lookup from the live state.
-            dest_pos = self.nodes[pkt.dst].kin.position
-            hop = greedy_next_hop(positions, node.kin.position, dest_pos)
+            dest_pos = self.nodes[pkt.dst].position
+            hop = greedy_next_hop(positions, node.position, dest_pos)
             if hop is None:
                 self._note_fail(pkt, DROP_NO_ROUTE)
             else:
@@ -424,10 +477,8 @@ class Simulation:
         for rec in node.inflight:
             rec.corrupted = True
         receptions: list[_Reception] = []
-        for other in self.nodes:
-            if other.id == node.id:
-                continue
-            if not self._audible(node, other):
+        for other in self._link_row(node):
+            if not self.hears(frame, other):
                 continue
             rec = _Reception(frame, other)
             if other.transmitting is not None or other.inflight:
@@ -439,21 +490,48 @@ class Simulation:
         airtime = frame.size * 8 / self.sc.link_rate
         self._schedule(self.now + airtime, lambda: self._tx_end(node, frame, receptions))
 
-    def _audible(self, sender: _Node, receiver: _Node) -> bool:
-        distance = sender.kin.position.distance_to(receiver.kin.position)
+    def _link_row(self, sender: _Node) -> dict[_Node, float]:
+        """The links of `sender` at the current tick, built on its first
+        frame after the tick, in node order: rural maps each receiver
+        within r_TX to its distance, urban maps every other node to its
+        mean received power in dBm."""
+        row = self._rows[sender.id]
+        if row is None:
+            row = self._rows[sender.id] = {}
+            urban = self.sc.channel == radio.URBAN
+            for other in self.nodes:
+                if other is sender:
+                    continue
+                distance = sender.position.distance_to(other.position)
+                if urban:
+                    row[other] = radio.mean_rx_power(self.sc.budget, distance)
+                elif distance <= self.r_tx:
+                    row[other] = distance
+        return row
+
+    def hears(self, frame: Frame, receiver: _Node) -> bool:
+        """Channel verdict for `frame` at `receiver` at the current tick.
+
+        The MAC asks it for each receiver in the sender's link row; it is
+        the seam through which a test scripts the channel.  Rural: the
+        receiver lies within r_TX.  Urban: block fading per (frame,
+        receiver), so a unicast retry reuses the gain its frame drew at
+        this receiver and every new frame draws afresh; the mean power is
+        that of the current tick, since a retry can straddle a tick.
+        """
+        link = self._link_row(self.nodes[frame.sender]).get(receiver)
+        if link is None:
+            return False
         if self.sc.channel != radio.URBAN:
-            return radio.receive(self.sc.budget, self.sc.channel, distance, self.rng_channel)
-        # Block fading per (frame, receiver): a unicast retry reuses the gain
-        # its frame drew at this receiver, and every new frame draws afresh.
-        # The mean power follows the current distance, since a retry can
-        # straddle a mobility tick.
-        fading = sender.transmitting.fading
+            return True
+        fading = frame.fading
         gain = fading.get(receiver.id)
         if gain is None:
             gain = fading[receiver.id] = radio.nakagami_gain(
                 self.sc.budget.nakagami_m, self.rng_channel
             )
-        return radio.faded_reception(self.sc.budget, distance, gain)
+        # radio.faded_reception, with the mean power taken from the row.
+        return link + 10.0 * math.log10(gain) >= self.sc.budget.sensitivity_dbm
 
     def _tx_end(self, node: _Node, frame: Frame, receptions: list[_Reception]) -> None:
         node.transmitting = None
@@ -471,11 +549,19 @@ class Simulation:
                 any_corrupt = True
             else:
                 any_clean = True
-        for rec in receptions:
-            if not rec.corrupted and (frame.link_dest is None or rec.node.id == frame.link_dest):
-                self._deliver(rec.node, frame)
-        if frame.kind == "data":
+        clean = [
+            rec.node for rec in receptions
+            if not rec.corrupted and (frame.link_dest is None or rec.node.id == frame.link_dest)
+        ]
+        if frame.kind == "chirp":
+            if clean:
+                chirp = decode_chirp(frame.payload)
+                for receiver in clean:
+                    self._deliver_chirp(receiver, frame.sender, chirp)
+        else:
             pkt: DataPacket = frame.payload
+            for receiver in clean:
+                self._deliver_data(receiver, pkt)
             if frame.link_dest is not None:
                 if target_rec is None or target_rec.corrupted:
                     self._retry_or_drop(node, frame, target_rec)
@@ -497,11 +583,7 @@ class Simulation:
 
     # -- reception --------------------------------------------------------------
 
-    def _deliver(self, receiver: _Node, frame: Frame) -> None:
-        if frame.kind == "chirp":
-            self._deliver_chirp(receiver, frame)
-            return
-        pkt: DataPacket = frame.payload
+    def _deliver_data(self, receiver: _Node, pkt: DataPacket) -> None:
         if receiver.id == pkt.dst:
             state = self.packets[pkt.pid]
             if not state.delivered:
@@ -511,9 +593,8 @@ class Simulation:
             return
         self._forward_data(receiver, pkt)
 
-    def _deliver_chirp(self, receiver: _Node, frame: Frame) -> None:
-        chirp = decode_chirp(frame.payload)
-        action = receiver.routing.handle_chirp(chirp, frame.sender, self.now)
+    def _deliver_chirp(self, receiver: _Node, forwarder: int, chirp: Chirp) -> None:
+        action = receiver.routing.handle_chirp(chirp, forwarder, self.now)
         if isinstance(action, Forward):
             out = Frame(
                 sender=receiver.id,
@@ -538,25 +619,14 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         sc = self.sc
+        while self._heap:
+            time, _, fn = heapq.heappop(self._heap)
+            if time > sc.duration:
+                break
+            self.now = time
+            fn()
         if sc.trace_path is not None:
-            self._trace_file = open(sc.trace_path, "w", encoding="utf-8")
-            # Rewrite the rows captured before the file existed.
-            t0, positions = self.trace[0]
-            for node, pos in zip(self.nodes, positions):
-                self._trace_file.write(
-                    f"{t0:.6f},{node.id},{pos.x:.6f},{pos.y:.6f},{pos.z:.6f}\n"
-                )
-        try:
-            while self._heap:
-                time, _, fn = heapq.heappop(self._heap)
-                if time > sc.duration:
-                    break
-                self.now = time
-                fn()
-        finally:
-            if self._trace_file is not None:
-                self._trace_file.close()
-                self._trace_file = None
+            self._write_trace(sc.trace_path)
         return self.collect_metrics()
 
     def collect_metrics(self) -> RunMetrics:

@@ -322,9 +322,10 @@ def test_criterion_7_protocol_ordering(parrot_arm):
 
 
 def test_criterion_8_alpha_plateau():
-    # Urban fading supplies the per-chirp noise that punishes alpha = 1.0;
-    # the idealized MAC otherwise delivers chirps too reliably for the
-    # overemphasis effect to appear.
+    # Measured under urban fading: alpha 0.05 / 0.5 / 1.0 gave PDR
+    # 0.509 / 0.569 / 0.583, so alpha = 1.0 is not punished at this desk
+    # scale; the plateau check passes only because 1.0 may exceed 0.5 by
+    # up to one CI.
     base = Scenario(
         nodes=10, box=Vec3(350.0, 350.0, 175.0), speed=90 / 3.6,
         duration=80.0, warmup=20.0, cbr_rate=112_000, channel="urban",

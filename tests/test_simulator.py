@@ -139,11 +139,10 @@ class TestMacBehavior:
         )
 
         class Scripted(Simulation):
-            def _audible(self, sender, receiver):
-                frame = sender.transmitting
-                if frame is not None and frame.kind == "data" and frame.attempts < 3:
+            def hears(self, frame, receiver):
+                if frame.kind == "data" and frame.attempts < 3:
                     return False
-                return super()._audible(sender, receiver)
+                return super().hears(frame, receiver)
 
         m = Scripted(sc).run()
         airtime = (sc.payload + sc.header_overhead) * 8 / sc.link_rate
@@ -158,11 +157,10 @@ class TestMacBehavior:
         )
 
         class Deaf(Simulation):
-            def _audible(self, sender, receiver):
-                frame = sender.transmitting
-                if frame is not None and frame.kind == "data":
+            def hears(self, frame, receiver):
+                if frame.kind == "data":
                     return False
-                return super()._audible(sender, receiver)
+                return super().hears(frame, receiver)
 
         m = Deaf(sc).run()
         assert m.delivered == 0
@@ -180,14 +178,13 @@ class TestMacBehavior:
         verdicts = []
         for _ in range(60):
             frame = Frame(sender.id, receiver.id, "data", None, 100)
-            sender.transmitting = frame
             before = sim.rng_channel.getstate()
-            first = sim._audible(sender, receiver)
+            first = sim.hears(frame, receiver)
             drawn = sim.rng_channel.getstate()
             assert drawn != before, "a new frame draws a fresh gain"
             for _ in range(sc.retry_limit):
                 frame.attempts += 1
-                assert sim._audible(sender, receiver) == first
+                assert sim.hears(frame, receiver) == first
                 assert sim.rng_channel.getstate() == drawn, "a retry draws no gain"
             verdicts.append(first)
         assert True in verdicts and False in verdicts
