@@ -30,7 +30,7 @@ ADJACENCY = {
 
 states = {}
 for node in ADJACENCY:
-    state = RoutingState(node, RoutingParams(), now=0.0)
+    state = RoutingState(node, RoutingParams(), now=0.0, tau=2.5, r_tx=150.0)
     state.update_self(Vec3(0, 0, 0), Vec3(0, 0, 0))  # co-located, static
     states[node] = state
 

@@ -9,6 +9,7 @@ seed included.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from random import Random
 
@@ -66,9 +67,13 @@ class CampaignConfig:
             raise ConfigError(f"unknown sweep parameter '{self.sweep}'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
-        base = self.scenario
         for value in self.sweep_values:
-            apply_sweep(base, self.sweep, value).validate()
+            try:
+                apply_sweep(self.scenario, self.sweep, value).validate()
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad value {value:g} in sweep_values for '{self.sweep}': {exc}"
+                ) from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -81,7 +86,11 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_values(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
+    return values
 
 
 def _in(lo, hi, lo_open=False, hi_open=False):
@@ -221,13 +230,11 @@ def _build_scenario(v: dict) -> Scenario:
     routing = RoutingParams(
         alpha=v["alpha"],
         gamma0=v["gamma0"],
-        tau=v["tau"],
         chirp_interval=v["chirp_interval"],
         neighbor_timeout=v["neighbor_timeout"],
         entry_timeout=v["entry_timeout"],
         cohesion_window=v["cohesion_window"],
         initial_ttl=v["initial_ttl"],
-        r_tx=v["r_tx"],
     )
     budget = budget_for_radius(
         v["r_tx"],
@@ -266,11 +273,7 @@ def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
     if param == "gamma0":
         return replace(scenario, routing=replace(scenario.routing, gamma0=value))
     if param == "tau":
-        return replace(
-            scenario,
-            routing=replace(scenario.routing, tau=value),
-            mobility=replace(scenario.mobility, tau=value),
-        )
+        return replace(scenario, mobility=replace(scenario.mobility, tau=value))
     if param == "nodes":
         return replace(scenario, nodes=int(value))
     if param == "speed_kmh":
@@ -290,8 +293,12 @@ class PointResult:
     metrics: list[RunMetrics]
 
 
-def run_campaign(cfg: CampaignConfig, trace_dir: str | None = None) -> list[PointResult]:
-    """Execute every (sweep value, run index) cell and return per-point runs."""
+def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
+    """Execute every (sweep value, run index) cell and return per-point runs.
+
+    With `cfg.trace` set, each run writes its position trace into
+    `cfg.out_dir`.
+    """
     cfg.validate()
     results = []
     for value in cfg.sweep_values:
@@ -300,11 +307,9 @@ def run_campaign(cfg: CampaignConfig, trace_dir: str | None = None) -> list[Poin
         for run_index in range(cfg.runs):
             seed = derive_run_seed(cfg.base_seed, cfg.sweep, value, run_index)
             scenario = replace(base, seed=seed)
-            if trace_dir is not None:
-                scenario = replace(
-                    scenario,
-                    trace_path=f"{trace_dir}/trace_{cfg.sweep}_{value:g}_run{run_index}.txt",
-                )
+            if cfg.trace:
+                name = f"trace_{cfg.sweep}_{value:g}_run{run_index}.txt"
+                scenario = replace(scenario, trace_path=os.path.join(cfg.out_dir, name))
             metrics.append(run(scenario))
         results.append(PointResult(cfg.sweep, value, metrics))
     return results

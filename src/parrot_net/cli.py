@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     csv_path = os.path.join(cfg.out_dir, "results.csv")
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        results = run_campaign(cfg, trace_dir=cfg.out_dir if cfg.trace else None)
+        results = run_campaign(cfg)
         emit_csv(results, csv_path)
     except ConfigError as exc:
         print(f"parrot-net: config error: {exc}", file=sys.stderr)

@@ -84,7 +84,6 @@ class KinematicState:
     waypoints: tuple[Vec3, ...] = ()
     cursor: int = 0
     history: tuple[Vec3, ...] = ()
-    last_update: float = 0.0
 
     def remaining_waypoints(self) -> int:
         return max(0, len(self.waypoints) - self.cursor)
@@ -164,13 +163,7 @@ def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> Kinemati
         pos = _step_towards(pos, state.waypoints[k], state.speed * cfg.dt)
         k = _advance_cursor(pos, state.waypoints, k, cfg.r_w)
     hist = (state.history + (pos,))[-cfg.h:]
-    return replace(
-        state,
-        position=pos,
-        cursor=k,
-        history=hist,
-        last_update=state.last_update + cfg.dt,
-    )
+    return replace(state, position=pos, cursor=k, history=hist)
 
 
 def _uniform_point(bounds: Vec3, rng: Random) -> Vec3:
@@ -187,13 +180,13 @@ def make_random_waypoint_state(
     duration: float,
     rng: Random,
     cfg: MobilityConfig,
-    start_time: float = 0.0,
 ) -> KinematicState:
     """Spawn a node and draw its whole waypoint sequence up front.
 
-    Waypoints are uniform in the box.  The queue is sized so it cannot run
-    out during `duration`, letting the waypoint predictor see the true
-    future of the mobility model.
+    Waypoints are uniform in the box, drawn until their gaps less r_w per
+    leg cover speed * duration + 2 r_w.  A leg's path can be nearly its full
+    gap, so the queue can run out before `duration`.  From then on the node
+    stops, and self-prediction falls back to the slope predictor.
     """
     if bounds.x <= 0 or bounds.y <= 0 or bounds.z <= 0:
         raise ValueError(f"bounds must be positive in all dimensions, got {bounds}")
@@ -213,7 +206,6 @@ def make_random_waypoint_state(
         waypoints=tuple(waypoints),
         cursor=0,
         history=(spawn,),
-        last_update=start_time,
     )
 
 

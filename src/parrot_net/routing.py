@@ -43,11 +43,9 @@ class RoutingParams:
 
     alpha: float = 0.5
     gamma0: float = 0.8
-    tau: float = 2.5
     chirp_interval: float = 0.5
     neighbor_timeout: float = 1.5  # three lost chirps before link death
     entry_timeout: float = 3.0
-    r_tx: float = 150.0
     cohesion_window: float = 0.5
     initial_ttl: int = 16
 
@@ -57,14 +55,10 @@ class RoutingParams:
         # gamma0 == 1 is allowed for the loop-freedom degradation experiment.
         if not 0.0 < self.gamma0 <= 1.0:
             raise ValueError(f"gamma0 {self.gamma0} outside (0, 1]")
-        if self.tau < 0.0:
-            raise ValueError(f"tau {self.tau} must be >= 0")
         if self.chirp_interval <= 0.0:
             raise ValueError("chirp_interval must be > 0")
         if self.neighbor_timeout <= 0.0 or self.entry_timeout <= 0.0:
             raise ValueError("timeouts must be > 0")
-        if self.r_tx <= 0.0:
-            raise ValueError("r_tx must be > 0")
         if self.cohesion_window <= 0.0:
             raise ValueError("cohesion_window must be > 0")
         if not 1 <= self.initial_ttl < (1 << 16):
@@ -185,12 +179,16 @@ def compute_let(delta_p: Vec3, delta_v: Vec3, r_tx: float) -> float:
 
 
 class RoutingState:
-    """Single-owner routing state of one node."""
+    """Single-owner routing state of one node.  The link-expiry factor uses
+    the prediction horizon `tau` and the radio range `r_tx`."""
 
-    def __init__(self, node_id: int, params: RoutingParams, now: float = 0.0):
+    def __init__(self, node_id: int, params: RoutingParams, now: float = 0.0, *,
+                 tau: float, r_tx: float):
         params.validate()
         self.node_id = node_id
         self.params = params
+        self.tau = tau
+        self.r_tx = r_tx
         self.table = QTable()
         self.neighbors: dict[int, NeighborRecord] = {}
         self.cohesion = CohesionHistory(frozenset(), now)
@@ -280,7 +278,7 @@ class RoutingState:
         chirp carries positions only): dv = ((pj~ - pj) - (pi~ - pi)) / tau.
         A zero horizon disables prediction and neutralizes the factor.
         """
-        tau = self.params.tau
+        tau = self.tau
         if tau <= 0.0:
             return 1.0
         delta_p = record.position - self.self_position
@@ -288,7 +286,7 @@ class RoutingState:
             (record.predicted_position - record.position)
             - (self.self_prediction - self.self_position)
         ) * (1.0 / tau)
-        let = compute_let(delta_p, delta_v, self.params.r_tx)
+        let = compute_let(delta_p, delta_v, self.r_tx)
         if let >= tau:
             return 1.0
         return math.sqrt(let / tau)

@@ -100,11 +100,6 @@ class Scenario:
             raise ConfigError("speed must be >= 0")
         if self.hop_budget < 1:
             raise ConfigError("hop budget must be >= 1")
-        if self.mobility.tau != self.routing.tau:
-            raise ConfigError(
-                f"prediction horizon mismatch: mobility tau {self.mobility.tau} "
-                f"!= routing tau {self.routing.tau}"
-            )
         self.routing.validate()
         self.budget.validate()
 
@@ -252,7 +247,6 @@ class Simulation:
         self._seq = 0
 
         self.r_tx = radio.compute_r_tx(scenario.budget)
-        params = replace(scenario.routing, r_tx=self.r_tx)
 
         self.rng_channel = Random(stable_seed(scenario.seed, "channel"))
         self.rng_mac = Random(stable_seed(scenario.seed, "mac"))
@@ -275,7 +269,7 @@ class Simulation:
         self.nodes: list[_Node] = []
         for i in range(scenario.nodes):
             position = self._position(0, i)
-            routing = RoutingState(i, replace(params), now=0.0)
+            routing = RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx)
             routing.update_self(position, self._self_prediction(i, 0))
             self.nodes.append(_Node(i, position, routing))
         # Link rows of the current tick, per sender; see _link_row.
@@ -289,7 +283,6 @@ class Simulation:
         self.latencies: list[float] = []
         self._next_pid = 0
         self.chirp_frames = 0
-        self.drops = {cause: 0 for cause in DROP_CAUSES}
 
         self._preschedule()
 
@@ -643,7 +636,6 @@ class Simulation:
                 # Packets still in flight at the end of the run carry no
                 # recorded failure and are charged as unreachable.
                 drops[state.fail or DROP_NO_ROUTE] += 1
-        self.drops = drops
         chirp_bytes = self.chirp_frames * (CHIRP_SIZE + self.sc.header_overhead)
         bound = optimal_pdr_bound(
             self.trace, self.r_tx, self.emission_times, self.sender, self.receiver

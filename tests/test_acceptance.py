@@ -33,7 +33,7 @@ def report(criterion, text):
 def static_states(node_ids, params):
     states = {}
     for i in node_ids:
-        state = RoutingState(i, RoutingParams(**vars(params)), now=0.0)
+        state = RoutingState(i, RoutingParams(**vars(params)), now=0.0, tau=2.5, r_tx=150.0)
         state.update_self(Vec3(0, 0, 0), Vec3(0, 0, 0))
         states[i] = state
     return states
@@ -296,7 +296,6 @@ def parrot_arm():
 def test_criterion_6_tau_benefit(parrot_arm):
     zero = campaign_scenario(
         mobility=MobilityConfig(tau=0.0),
-        routing=RoutingParams(tau=0.0),
     )
     no_prediction = run_arm(zero, "arm")
     with_mean, with_ci = mean_ci([m.pdr for m in parrot_arm])

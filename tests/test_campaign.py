@@ -32,7 +32,7 @@ class TestParseConfig:
         sc = cfg.scenario
         assert sc.routing.alpha == 0.5
         assert sc.routing.gamma0 == 0.8
-        assert sc.routing.tau == 2.5
+        assert sc.mobility.tau == 2.5
         assert sc.routing.chirp_interval == 0.5
         assert sc.mobility.dt == 0.1
         assert sc.mobility.r_w == 10.0
@@ -90,7 +90,7 @@ class TestParseConfig:
         cfg = parse_config(None, ["sweep=tau", "sweep_values=0,2.5"])
         for value in cfg.sweep_values:
             sc = apply_sweep(cfg.scenario, "tau", value)
-            assert sc.mobility.tau == sc.routing.tau == value
+            assert sc.mobility.tau == value
 
 
 class TestSeeds:
@@ -140,6 +140,16 @@ class TestCampaign:
         emit_csv(run_campaign(cfg), str(first))
         emit_csv(run_campaign(cfg), str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_trace_setting_writes_one_trace_per_run(self, tmp_path):
+        cfg = parse_config(None, TINY + [
+            "runs=2", "sweep_values=0.3,0.7", "trace=true", f"out={tmp_path}",
+        ])
+        run_campaign(cfg)
+        names = sorted(path.name for path in tmp_path.glob("trace_*.txt"))
+        assert names == [
+            f"trace_alpha_{value}_run{k}.txt" for value in ("0.3", "0.7") for k in (0, 1)
+        ]
 
     def test_campaign_conservation(self):
         cfg = parse_config(None, TINY + ["runs=3"])
@@ -213,6 +223,19 @@ class TestCli:
         code = cli.main(["run", "--set", "alpha=1.5"])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [
+        ["sweep_values=0.5,1.5"],
+        ["sweep=tau", "sweep_values=-1"],
+        ["sweep=nodes", "sweep_values=inf"],
+        ["sweep=tau", "sweep_values=nan"],
+    ])
+    def test_bad_sweep_value_exit_one(self, overrides, capsys):
+        code = cli.main(["run"] + [f"--set={kv}" for kv in overrides])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "sweep_values" in err
 
     def test_unknown_key_exit_one(self, capsys):
         code = cli.main(["run", "--set", "bogus=1"])

@@ -28,11 +28,7 @@ def scenarios():
             nodes=5, box=box, speed=20.0, duration=8.0, warmup=2.0,
             cbr_rate=112000, protocol=protocol, channel=channel, seed=seed,
         )
-        yield replace(
-            sc,
-            mobility=replace(sc.mobility, tau=tau),
-            routing=replace(sc.routing, tau=tau),
-        )
+        yield replace(sc, mobility=replace(sc.mobility, tau=tau))
 
 
 def metrics_digest() -> str:

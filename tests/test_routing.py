@@ -21,8 +21,8 @@ from parrot_net.routing import (
 )
 
 
-def make_state(node_id=1, now=0.0, **params):
-    state = RoutingState(node_id, RoutingParams(**params), now=now)
+def make_state(node_id=1, now=0.0, tau=2.5, r_tx=150.0, **params):
+    state = RoutingState(node_id, RoutingParams(**params), now=now, tau=tau, r_tx=r_tx)
     state.update_self(Vec3(0, 0, 0), Vec3(0, 0, 0))
     return state
 
@@ -295,7 +295,7 @@ def make_static_states(n, params=None):
     params = params or RoutingParams()
     states = {}
     for i in range(n):
-        state = RoutingState(i, RoutingParams(**vars(params)), now=0.0)
+        state = RoutingState(i, RoutingParams(**vars(params)), now=0.0, tau=2.5, r_tx=150.0)
         state.update_self(Vec3(0, 0, 0), Vec3(0, 0, 0))
         states[i] = state
     return states

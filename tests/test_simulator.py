@@ -5,9 +5,9 @@ from random import Random
 
 import pytest
 
-from parrot_net.channel import budget_for_radius
+from parrot_net.channel import budget_for_radius, compute_r_tx
 from parrot_net.errors import ConfigError
-from parrot_net.kinematics import Vec3
+from parrot_net.kinematics import MobilityConfig, Vec3
 from parrot_net.simulator import (
     DROP_CAUSES,
     Frame,
@@ -53,7 +53,6 @@ class TestRunBasics:
             duration=10.0, warmup=2.0, cbr_rate=112000,
             budget=budget_for_radius(10.0), seed=3,
         )
-        sc = replace(sc, routing=replace(sc.routing, r_tx=10.0))
         metrics = run(sc)
         assert metrics.optimal_bound == 0.0, "seed must give a partitioned spawn"
         assert metrics.pdr == 0.0
@@ -81,6 +80,16 @@ class TestRunBasics:
         assert m.sent == m.delivered + sum(m.drops.values())
         assert m.sent > 0
 
+    def test_routing_reads_horizon_and_range_from_scenario(self):
+        sc = Scenario(
+            nodes=3, duration=5.0, warmup=1.0, mobility=MobilityConfig(tau=1.0),
+            budget=budget_for_radius(10.0), seed=3,
+        )
+        for node in Simulation(sc).nodes:
+            state = node.routing
+            assert state.tau == sc.mobility.tau
+            assert state.r_tx == compute_r_tx(sc.budget)
+
     def test_invalid_scenario_rejected_before_events(self):
         with pytest.raises(ConfigError):
             run(Scenario(nodes=1))
@@ -88,10 +97,6 @@ class TestRunBasics:
             run(Scenario(duration=0.0))
         with pytest.raises(ConfigError):
             run(Scenario(protocol="mystery"))
-        with pytest.raises(ConfigError):
-            sc = Scenario()
-            sc.mobility = replace(sc.mobility, tau=1.0)
-            run(sc)
 
 
 class TestMacBehavior:
