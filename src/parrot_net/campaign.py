@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass, field, replace
 from random import Random
 
-import numpy as np
-
 from .channel import budget_for_radius
 from .errors import ConfigError
 from .kinematics import (
@@ -85,12 +83,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_values(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{value} is not finite")
-    return values
+    return [_parse_float(part) for part in text.split(",") if part.strip()]
 
 
 def _in(lo, hi, lo_open=False, hi_open=False):
@@ -116,36 +117,36 @@ _INF = math.inf
 # configuration.
 _KEYS: dict[str, tuple] = {
     "nodes": (int, 10, _in(2, _INF)),
-    "box_x": (float, 500.0, _in(0, _INF, lo_open=True)),
-    "box_y": (float, 500.0, _in(0, _INF, lo_open=True)),
-    "box_z": (float, 250.0, _in(0, _INF, lo_open=True)),
-    "speed_kmh": (float, 50.0, _in(0, _INF)),
-    "duration": (float, 900.0, _in(0, _INF, lo_open=True)),
-    "warmup": (float, 30.0, _in(0, _INF)),
-    "bitrate": (float, 2e6, _in(0, _INF, lo_open=True)),
+    "box_x": (_parse_float, 500.0, _in(0, _INF, lo_open=True)),
+    "box_y": (_parse_float, 500.0, _in(0, _INF, lo_open=True)),
+    "box_z": (_parse_float, 250.0, _in(0, _INF, lo_open=True)),
+    "speed_kmh": (_parse_float, 50.0, _in(0, _INF)),
+    "duration": (_parse_float, 900.0, _in(0, _INF, lo_open=True)),
+    "warmup": (_parse_float, 30.0, _in(0, _INF)),
+    "bitrate": (_parse_float, 2e6, _in(0, _INF, lo_open=True)),
     "payload": (int, 1400, _in(1, _INF)),
     "protocol": (str, "parrot", _choice("parrot", "greedy", "flood")),
     "channel": (str, "rural", _choice("rural", "urban")),
-    "alpha": (float, 0.5, _in(0, 1, lo_open=True)),
-    "gamma0": (float, 0.8, _in(0, 1, lo_open=True)),
-    "tau": (float, 2.5, _in(0, _INF)),
-    "chirp_interval": (float, 0.5, _in(0, _INF, lo_open=True)),
-    "dt": (float, 0.1, _in(0, _INF, lo_open=True)),
-    "r_w": (float, 10.0, _in(0, _INF, lo_open=True)),
+    "alpha": (_parse_float, 0.5, _in(0, 1, lo_open=True)),
+    "gamma0": (_parse_float, 0.8, _in(0, 1, lo_open=True)),
+    "tau": (_parse_float, 2.5, _in(0, _INF)),
+    "chirp_interval": (_parse_float, 0.5, _in(0, _INF, lo_open=True)),
+    "dt": (_parse_float, 0.1, _in(0, _INF, lo_open=True)),
+    "r_w": (_parse_float, 10.0, _in(0, _INF, lo_open=True)),
     "history": (int, 5, _in(2, _INF)),
-    "neighbor_timeout": (float, 1.5, _in(0, _INF, lo_open=True)),
-    "entry_timeout": (float, 3.0, _in(0, _INF, lo_open=True)),
-    "cohesion_window": (float, 0.5, _in(0, _INF, lo_open=True)),
+    "neighbor_timeout": (_parse_float, 1.5, _in(0, _INF, lo_open=True)),
+    "entry_timeout": (_parse_float, 3.0, _in(0, _INF, lo_open=True)),
+    "cohesion_window": (_parse_float, 0.5, _in(0, _INF, lo_open=True)),
     "initial_ttl": (int, 16, _in(1, 65535)),
-    "r_tx": (float, 150.0, _in(0, _INF, lo_open=True)),
-    "tx_power_dbm": (float, 20.0, None),
-    "frequency_hz": (float, 2.4e9, _in(0, _INF, lo_open=True)),
-    "pathloss_exponent": (float, 2.75, _in(0, _INF, lo_open=True)),
-    "nakagami_m": (float, 2.0, _in(0.5, _INF)),
-    "link_rate": (float, 24e6, _in(0, _INF, lo_open=True)),
+    "r_tx": (_parse_float, 150.0, _in(0, _INF, lo_open=True)),
+    "tx_power_dbm": (_parse_float, 20.0, None),
+    "frequency_hz": (_parse_float, 2.4e9, _in(0, _INF, lo_open=True)),
+    "pathloss_exponent": (_parse_float, 2.75, _in(0, _INF, lo_open=True)),
+    "nakagami_m": (_parse_float, 2.0, _in(0.5, _INF)),
+    "link_rate": (_parse_float, 24e6, _in(0, _INF, lo_open=True)),
     "hop_budget": (int, 32, _in(1, _INF)),
     "queue_limit": (int, 100, _in(1, _INF)),
-    "forward_jitter": (float, 5e-3, _in(0, _INF)),
+    "forward_jitter": (_parse_float, 5e-3, _in(0, _INF)),
     "seed": (int, 1, None),
     "runs": (int, 25, _in(1, _INF)),
     "sweep": (str, "alpha", _choice(*SWEEPABLE)),
@@ -315,16 +316,37 @@ def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
     return results
 
 
+def _mean(values) -> float:
+    return math.fsum(values) / len(values)
+
+
 def mean_ci(values) -> tuple[float, float]:
-    """Mean and half-width of the 0.95 normal-approximation CI."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    """Mean and half-width of the 0.95 normal-approximation CI.
+
+    A NaN among the values makes both NaN.
+    """
+    xs = [float(v) for v in values]
+    n = len(xs)
+    if n == 0:
         return math.nan, math.nan
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    mean = float(arr.mean())
-    ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    return mean, ci
+    if n == 1:
+        return xs[0], 0.0
+    mean = _mean(xs)
+    std = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (n - 1))
+    return mean, 1.96 * std / math.sqrt(n)
+
+
+def percentile(values, q: float) -> float:
+    """The q-th percentile of a non-empty list of finite values: linear
+    interpolation between order statistics (Hyndman & Fan type 7), computed
+    from the nearer end."""
+    xs = sorted(values)
+    pos = (len(xs) - 1) * (q / 100)
+    lo = math.floor(pos)
+    a, b = xs[lo], xs[min(lo + 1, len(xs) - 1)]
+    t = pos - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def aggregate_point(point: PointResult) -> dict[str, float]:
@@ -334,7 +356,7 @@ def aggregate_point(point: PointResult) -> dict[str, float]:
     run_latency_means = [m.latency_mean for m in runs if m.latencies]
     lat_mean, lat_ci = mean_ci(run_latency_means)
     pooled = [sample for m in runs for sample in m.latencies]
-    lat_p99 = float(np.percentile(pooled, 99)) if pooled else math.nan
+    lat_p99 = percentile(pooled, 99) if pooled else math.nan
     row = {
         "sweep_value": point.value,
         "runs": len(runs),
@@ -343,13 +365,11 @@ def aggregate_point(point: PointResult) -> dict[str, float]:
         "latency_mean_s": lat_mean,
         "latency_ci95_s": lat_ci,
         "latency_p99_s": lat_p99,
-        "overhead_bytes": float(np.mean([m.chirp_bytes for m in runs])),
-        "optimal_bound_mean": float(np.mean([m.optimal_bound for m in runs])),
+        "overhead_bytes": _mean([m.chirp_bytes for m in runs]),
+        "optimal_bound_mean": _mean([m.optimal_bound for m in runs]),
     }
     for cause in DROP_CAUSES:
-        row[f"drops_{cause.replace('-', '_')}"] = float(
-            np.mean([m.drops[cause] for m in runs])
-        )
+        row[f"drops_{cause.replace('-', '_')}"] = _mean([m.drops[cause] for m in runs])
     return row
 
 
@@ -408,4 +428,4 @@ def prediction_accuracy_study(
                 prediction_error(predict_slope(current, cfg), actual)
             )
             errors["naive"].append(prediction_error(current.position, actual))
-    return {method: float(np.mean(vals)) for method, vals in errors.items()}
+    return {method: _mean(vals) for method, vals in errors.items()}

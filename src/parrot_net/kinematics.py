@@ -60,6 +60,10 @@ class MobilityConfig:
     h: int = 5
 
     def __post_init__(self) -> None:
+        for name in ("dt", "tau", "r_w"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.tau < 0:

@@ -16,7 +16,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Callable
 
@@ -82,6 +82,12 @@ class Scenario:
     trace_path: str | None = None
 
     def validate(self) -> None:
+        for prefix, part in (("", self), ("box.", self.box),
+                             ("routing.", self.routing), ("budget.", self.budget)):
+            for f in fields(part):
+                value = getattr(part, f.name)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
         if self.nodes < 2:
             raise ConfigError(f"need at least 2 nodes, got {self.nodes}")
         if self.duration <= 0:
@@ -438,7 +444,8 @@ class Simulation:
             sender=node.id,
             link_dest=link_dest,
             kind="data",
-            payload=replace(pkt, hops_left=pkt.hops_left - 1),
+            payload=DataPacket(pkt.pid, pkt.src, pkt.dst, pkt.emit_time,
+                               pkt.hops_left - 1, pkt.measured),
             size=self.sc.payload + self.sc.header_overhead,
         ))
 

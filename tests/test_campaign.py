@@ -1,10 +1,15 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parrot_net import cli
 from parrot_net.campaign import (
@@ -16,6 +21,7 @@ from parrot_net.campaign import (
     emit_csv,
     mean_ci,
     parse_config,
+    percentile,
     run_campaign,
 )
 from parrot_net.errors import ConfigError
@@ -125,6 +131,32 @@ class TestStatistics:
         expected = 1.96 * np.std(values, ddof=1) / 2.0
         assert abs(ci - expected) < 1e-12
 
+    def test_nan_run_makes_mean_and_ci_nan(self):
+        # A run that measures no packet has pdr = nan; the cell must say so.
+        mean, ci = mean_ci([math.nan, 1.0])
+        assert math.isnan(mean) and math.isnan(ci)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+    def test_percentile_equals_numpy(self, xs):
+        assert percentile(xs, 99) == float(np.percentile(xs, 99))
+
+    def test_percentile_equals_numpy_at_every_size(self):
+        # (n - 1) * 0.99 and (n - 1) * 99 / 100 round differently at some n.
+        rng = Random(5)
+        for n in range(1, 1500):
+            xs = [rng.expovariate(20.0) for _ in range(n)]
+            assert percentile(xs, 99) == float(np.percentile(xs, 99)), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
+    def test_mean_ci_matches_numpy(self, xs):
+        mean, ci = mean_ci(xs)
+        arr = np.asarray(xs)
+        expected_ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+        assert mean == pytest.approx(float(arr.mean()), rel=1e-12, abs=1e-9)
+        assert ci == pytest.approx(expected_ci, rel=1e-12, abs=1e-9)
+
 
 class TestCampaign:
     def test_single_point_runs(self):
@@ -150,6 +182,18 @@ class TestCampaign:
         assert names == [
             f"trace_alpha_{value}_run{k}.txt" for value in ("0.3", "0.7") for k in (0, 1)
         ]
+
+    def test_cell_without_measured_packets_writes_row(self, tmp_path):
+        # The warm-up covers the whole run, so no packet is measured.
+        cfg = parse_config(None, TINY + ["runs=2", "warmup=7.999"])
+        results = run_campaign(cfg)
+        assert all(m.sent == 0 for m in results[0].metrics)
+        path = tmp_path / "r.csv"
+        emit_csv(results, str(path))
+        cells = dict(zip(CSV_COLUMNS, path.read_text().splitlines()[1].split(",")))
+        assert cells["runs"] == "2"
+        assert cells["pdr_mean"] == cells["pdr_ci95"] == "nan"
+        assert cells["latency_p99_s"] == "nan"
 
     def test_campaign_conservation(self):
         cfg = parse_config(None, TINY + ["runs=3"])
@@ -237,6 +281,17 @@ class TestCli:
         assert "config error" in err
         assert "sweep_values" in err
 
+    @pytest.mark.parametrize("pair", [
+        "tau=inf", "speed_kmh=inf", "duration=nan", "tx_power_dbm=-inf", "alpha=nan",
+    ])
+    def test_non_finite_value_exit_one(self, pair, capsys):
+        code = cli.main(["run", "--set", pair])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"'{pair.split('=')[0]}'" in err
+        assert "not finite" in err
+
     def test_unknown_key_exit_one(self, capsys):
         code = cli.main(["run", "--set", "bogus=1"])
         assert code == 1
@@ -270,3 +325,21 @@ class TestCli:
         assert len(traces) == 1
         line = traces[0].read_text().splitlines()[0]
         assert len(line.split(",")) == 5
+
+
+def test_library_runs_a_campaign_without_numpy(tmp_path):
+    code = f"""
+import sys
+import parrot_net, parrot_net.cli
+from parrot_net.campaign import emit_csv, parse_config, run_campaign
+cfg = parse_config(None, {TINY + ["runs=2", "duration=3", "warmup=1"]!r})
+emit_csv(run_campaign(cfg), {str(tmp_path / "r.csv")!r})
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "r.csv").exists()

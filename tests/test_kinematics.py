@@ -257,3 +257,7 @@ def test_config_invariants():
         MobilityConfig(r_w=0.0)
     with pytest.raises(ValueError):
         MobilityConfig(h=1)
+    for name in ("dt", "tau", "r_w"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                MobilityConfig(**{name: value})

@@ -98,6 +98,16 @@ class TestRunBasics:
         with pytest.raises(ConfigError):
             run(Scenario(protocol="mystery"))
 
+    @pytest.mark.parametrize("overrides", [
+        {"speed": math.nan},
+        {"speed": math.inf},
+        {"duration": math.inf},
+        {"box": Vec3(500.0, math.inf, 250.0)},
+    ])
+    def test_non_finite_scenario_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Scenario(**overrides).validate()
+
 
 class TestMacBehavior:
     def test_idle_medium_latency_is_exactly_airtime(self):
