@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 _LIGHT_SPEED = 299_792_458.0
 
@@ -35,6 +35,7 @@ class LinkBudget:
     nakagami_m: float = 2.0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.path_loss_exponent <= 0:
             raise ConfigError("path loss exponent must be > 0")
         if self.d0 <= 0:

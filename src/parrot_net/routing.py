@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .chirp import Chirp, seq_newer
+from .errors import ConfigError, require_finite
 from .kinematics import Vec3
 
 # Q values at or below this level are treated as "no route".
@@ -50,19 +51,20 @@ class RoutingParams:
     initial_ttl: int = 16
 
     def validate(self) -> None:
+        require_finite(self)
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1]")
+            raise ConfigError(f"alpha {self.alpha} outside (0, 1]")
         # gamma0 == 1 is allowed for the loop-freedom degradation experiment.
         if not 0.0 < self.gamma0 <= 1.0:
-            raise ValueError(f"gamma0 {self.gamma0} outside (0, 1]")
+            raise ConfigError(f"gamma0 {self.gamma0} outside (0, 1]")
         if self.chirp_interval <= 0.0:
-            raise ValueError("chirp_interval must be > 0")
+            raise ConfigError("chirp_interval must be > 0")
         if self.neighbor_timeout <= 0.0 or self.entry_timeout <= 0.0:
-            raise ValueError("timeouts must be > 0")
+            raise ConfigError("timeouts must be > 0")
         if self.cohesion_window <= 0.0:
-            raise ValueError("cohesion_window must be > 0")
+            raise ConfigError("cohesion_window must be > 0")
         if not 1 <= self.initial_ttl < (1 << 16):
-            raise ValueError(f"initial_ttl {self.initial_ttl} out of range")
+            raise ConfigError(f"initial_ttl {self.initial_ttl} out of range")
 
 
 @dataclass

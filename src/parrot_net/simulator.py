@@ -3,9 +3,14 @@
 Binds random waypoint mobility, the reception models, an idealized shared-
 medium MAC, CBR traffic, and the routing protocols (predictive Q-routing,
 greedy geographic, flooding).  A run is a pure function of its scenario,
-seed included: periodic events are pre-scheduled in time order and all
+seed included: events fire in time order with a fixed tiebreak, and all
 randomness flows through generators derived from the scenario seed with a
 stable hash, so re-runs are bit-identical.
+
+Each periodic source (the mobility ticks, each node's chirps, the CBR
+stream) keeps one pending event and schedules its successor when it
+fires, and a packet's state lives only until its last copy dies, so the
+event queue and the packet book do not grow with the length of the run.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import Callable
 
 from . import channel as radio
 from .channel import LinkBudget, default_budget
 from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .kinematics import (
     KinematicState,
     MobilityConfig,
@@ -84,10 +90,7 @@ class Scenario:
     def validate(self) -> None:
         for prefix, part in (("", self), ("box.", self.box),
                              ("routing.", self.routing), ("budget.", self.budget)):
-            for f in fields(part):
-                value = getattr(part, f.name)
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ConfigError(f"{prefix}{f.name} must be finite, got {value}")
+            require_finite(part, prefix)
         if self.nodes < 2:
             raise ConfigError(f"need at least 2 nodes, got {self.nodes}")
         if self.duration <= 0:
@@ -163,12 +166,18 @@ class RunMetrics:
 
 
 class _PacketState:
-    __slots__ = ("measured", "delivered", "fail")
+    __slots__ = ("measured", "delivered", "fail", "copies")
 
     def __init__(self, measured: bool):
         self.measured = measured
         self.delivered = False
         self.fail: str | None = None
+        self.copies = 1  # live copies: queued, on the air or awaiting a retry
+
+    def outcome(self) -> str:
+        """The packet's fate: delivered, else its last recorded failure;
+        one that met none is charged as unreachable."""
+        return "delivered" if self.delivered else self.fail or DROP_NO_ROUTE
 
 
 class _Node:
@@ -211,6 +220,9 @@ def optimal_pdr_bound(
     sender-receiver reachability in the disk graph of radius r_tx by
     breadth-first search, once per snapshot that some emission falls in.
     Load-related loss is invisible to this figure.
+    A run counts the same figure online, one search per tick at its
+    measured emissions (`RunMetrics.optimal_bound`); this function is the
+    post-hoc reference over a trace.
     It is a PDR upper bound under the rural disk channel; under urban
     fading, where a frame can cross more than r_tx, it is a
     disk-connectivity reference and PDR may exceed it.
@@ -224,6 +236,13 @@ def optimal_pdr_bound(
         if _reaches(trace[idx][1], r_tx, sender, receiver)
     )
     return reachable / len(emission_times)
+
+
+def _first_not_before(offset: float, interval: float, k: int, limit: float) -> int:
+    """The first index from k on with offset + k * interval >= limit."""
+    while offset + k * interval < limit:
+        k += 1
+    return k
 
 
 def _reaches(positions: tuple[Vec3, ...], r_tx: float, src: int, dst: int) -> bool:
@@ -283,14 +302,22 @@ class Simulation:
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
 
-        # Metrics and bookkeeping.
-        self.emission_times: list[float] = []
+        # Metrics and bookkeeping.  `packets` holds the packets that still
+        # have a live copy; `_outcomes` counts the measured ones that died,
+        # by "delivered" or drop cause.
         self.packets: dict[int, _PacketState] = {}
+        self._outcomes: Counter[str] = Counter()
         self.latencies: list[float] = []
         self._next_pid = 0
+        self._sent = 0
         self.chirp_frames = 0
+        # The disk bound, counted at measured emissions: how many found the
+        # sender joined to the receiver, and the current tick's verdict
+        # once searched.
+        self._reachable = 0
+        self._reach: bool | None = None
 
-        self._preschedule()
+        self._start_streams()
 
     # -- motion ---------------------------------------------------------------
 
@@ -342,10 +369,16 @@ class Simulation:
         ]
 
     def _write_trace(self, path: str) -> None:
+        """One line per node per tick of `trace`, read from `_motion`."""
+        dt = self.sc.mobility.dt
+        n = self.sc.nodes
+        m = self._motion
         with open(path, "w", encoding="utf-8") as out:
-            for t, positions in self.trace:
-                for i, pos in enumerate(positions):
-                    out.write(f"{t:.6f},{i},{pos.x:.6f},{pos.y:.6f},{pos.z:.6f}\n")
+            for k in range(self._tick_index + 1):
+                t = k * dt
+                for i in range(n):
+                    j = 3 * (k * n + i)
+                    out.write(f"{t:.6f},{i},{m[j]:.6f},{m[j + 1]:.6f},{m[j + 2]:.6f}\n")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -353,26 +386,40 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
 
-    def _preschedule(self) -> None:
-        sc = self.sc
-        # Mobility ticks first: they receive the lowest tiebreakers, so at
-        # coinciding timestamps positions update before anything else fires.
-        for k in range(1, self._n_ticks + 1):
-            self._schedule(k * sc.mobility.dt, self._tick)
-        for node in self.nodes:
-            offset = self.rng_mac.uniform(0.0, sc.routing.chirp_interval)
-            k = 0
-            while (t := offset + k * sc.routing.chirp_interval) < sc.duration:
-                self._schedule(t, self._make_emit_chirp(node))
-                k += 1
-        interval = sc.payload * 8 / sc.cbr_rate
-        k = 1
-        while (t := k * interval) < sc.duration:
-            self._schedule(t, self._emit_packet)
-            k += 1
+    def _start_streams(self) -> None:
+        """Schedule the first event of each periodic source.
 
-    def _make_emit_chirp(self, node: _Node) -> Callable[[], None]:
-        return lambda: self._emit_chirp(node)
+        Event k of a source fires at offset + k * interval.  Its tiebreaker
+        is its index in one time-ordered listing of every periodic event of
+        the run: the ticks first, so at coinciding timestamps positions
+        update before anything else fires, then each node's chirps in node
+        order, then the CBR emissions.  Dynamic events are numbered on
+        from the total.
+        """
+        sc = self.sc
+        interval = sc.routing.chirp_interval
+        streams = [(self._tick, 0.0, sc.mobility.dt, 1, self._n_ticks + 1)]
+        for node in self.nodes:
+            offset = self.rng_mac.uniform(0.0, interval)
+            end = _first_not_before(offset, interval, 0, sc.duration)
+            streams.append((partial(self._emit_chirp, node), offset, interval, 0, end))
+        cbr = sc.payload * 8 / sc.cbr_rate
+        end = _first_not_before(0.0, cbr, 1, sc.duration)
+        streams.append((self._emit_packet, 0.0, cbr, 1, end))
+        for fire, offset, step, first, end in streams:
+            if first < end:
+                self._stream(fire, offset, step, first, end, self._seq)
+            self._seq += end - first
+
+    def _stream(self, fire: Callable[[], None], offset: float, interval: float,
+                k: int, end: int, seq: int) -> None:
+        """Schedule event k of a periodic source; when it fires, it first
+        schedules event k + 1, up to event `end` exclusive."""
+        def event() -> None:
+            if k + 1 < end:
+                self._stream(fire, offset, interval, k + 1, end, seq + 1)
+            fire()
+        heapq.heappush(self._heap, (offset + k * interval, seq, event))
 
     # -- event handlers -----------------------------------------------------
 
@@ -384,6 +431,7 @@ class Simulation:
             node.routing.update_self(node.position, self._self_prediction(node.id, k))
             node.routing.expire(self.now)
         self._rows = [None] * len(self.nodes)
+        self._reach = None
 
     def _emit_chirp(self, node: _Node) -> None:
         chirp = node.routing.make_chirp(self.now)
@@ -408,7 +456,13 @@ class Simulation:
         self._next_pid += 1
         self.packets[pkt.pid] = _PacketState(measured)
         if measured:
-            self.emission_times.append(self.now)
+            self._sent += 1
+            # Ticks fire before emissions at equal timestamps, so the
+            # current tick is the latest trace snapshot at this emission.
+            if self._reach is None:
+                positions = tuple(node.position for node in self.nodes)
+                self._reach = _reaches(positions, self.r_tx, self.sender, self.receiver)
+            self._reachable += self._reach
         self._forward_data(self.nodes[pkt.src], pkt)
 
     # -- routing dispatch -----------------------------------------------------
@@ -420,6 +474,7 @@ class Simulation:
         proto = self.sc.protocol
         if proto == "flood":
             if pkt.pid in node.seen_flood:
+                self._drop_copy(pkt.pid)
                 return
             node.seen_flood.add(pkt.pid)
             self._enqueue_data(node, None, pkt)
@@ -560,6 +615,9 @@ class Simulation:
                     self._deliver_chirp(receiver, frame.sender, chirp)
         else:
             pkt: DataPacket = frame.payload
+            if len(clean) > 1:
+                # A broadcast heard cleanly by several nodes forks its copy.
+                self.packets[pkt.pid].copies += len(clean) - 1
             for receiver in clean:
                 self._deliver_data(receiver, pkt)
             if frame.link_dest is not None:
@@ -590,6 +648,7 @@ class Simulation:
                 state.delivered = True
                 if state.measured:
                     self.latencies.append(self.now - pkt.emit_time)
+            self._drop_copy(pkt.pid)
             return
         self._forward_data(receiver, pkt)
 
@@ -614,6 +673,21 @@ class Simulation:
         state = self.packets[pkt.pid]
         if not state.delivered:
             state.fail = cause
+        self._drop_copy(pkt.pid)
+
+    def _drop_copy(self, pid: int) -> None:
+        """A copy of packet `pid` is gone; with its last, fold the packet
+        into the outcome counts and forget it."""
+        state = self.packets[pid]
+        state.copies -= 1
+        if state.copies:
+            return
+        del self.packets[pid]
+        if state.measured:
+            self._outcomes[state.outcome()] += 1
+        if self.sc.protocol == "flood":
+            for node in self.nodes:
+                node.seen_flood.discard(pid)
 
     # -- run ------------------------------------------------------------------------
 
@@ -630,23 +704,17 @@ class Simulation:
         return self.collect_metrics()
 
     def collect_metrics(self) -> RunMetrics:
-        sent = 0
-        delivered = 0
-        drops = dict.fromkeys(DROP_CAUSES, 0)
-        for state in self.packets.values():
-            if not state.measured:
-                continue
-            sent += 1
-            if state.delivered:
-                delivered += 1
-            else:
-                # Packets still in flight at the end of the run carry no
-                # recorded failure and are charged as unreachable.
-                drops[state.fail or DROP_NO_ROUTE] += 1
-        chirp_bytes = self.chirp_frames * (CHIRP_SIZE + self.sc.header_overhead)
-        bound = optimal_pdr_bound(
-            self.trace, self.r_tx, self.emission_times, self.sender, self.receiver
+        # Packets still in flight at the end of the run are folded as they
+        # stand: one that carries no recorded failure is charged as
+        # unreachable.
+        outcomes = self._outcomes + Counter(
+            state.outcome() for state in self.packets.values() if state.measured
         )
+        sent = self._sent
+        delivered = outcomes["delivered"]
+        drops = {cause: outcomes[cause] for cause in DROP_CAUSES}
+        chirp_bytes = self.chirp_frames * (CHIRP_SIZE + self.sc.header_overhead)
+        bound = self._reachable / sent if sent > 0 else 0.0
         pdr = delivered / sent if sent > 0 else math.nan
         return RunMetrics(
             sent=sent,

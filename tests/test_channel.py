@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -149,3 +150,14 @@ def test_budget_validation():
         LinkBudget(20.0, 2.4e9, 2.75, 1.0, -80.0, nakagami_m=0.4).validate()
     with pytest.raises(ConfigError):
         budget_for_radius(0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nakagami_m", math.nan),
+    ("sensitivity_dbm", -math.inf),
+    ("tx_power_dbm", math.nan),
+    ("frequency_hz", math.inf),
+])
+def test_budget_non_finite_rejected_naming_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        replace(default_budget(), **{field: value}).validate()

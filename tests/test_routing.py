@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parrot_net.chirp import Chirp
+from parrot_net.errors import ConfigError
 from parrot_net.kinematics import Vec3
 from parrot_net.routing import (
     DISCARD_SELF,
@@ -467,3 +468,13 @@ class TestParams:
         RoutingParams(gamma0=1.0).validate()
         with pytest.raises(ValueError):
             RoutingParams(gamma0=1.0001).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("chirp_interval", math.nan),
+        ("entry_timeout", math.inf),
+        ("alpha", math.nan),
+        ("cohesion_window", -math.inf),
+    ])
+    def test_non_finite_rejected_naming_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            RoutingParams(**{field: value}).validate()

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parrot_net.channel import budget_for_radius, compute_r_tx
 from parrot_net.errors import ConfigError
@@ -256,6 +259,42 @@ class TestOptimalBound:
         assert optimal_pdr_bound(trace, 150.0, [], 0, 1) == 0.0
 
 
+def cbr_emission_times(sc):
+    """Measured CBR emission times of a scenario: k * interval in
+    [warmup, duration), k >= 1."""
+    interval = sc.payload * 8 / sc.cbr_rate
+    times = []
+    k = 1
+    while (t := k * interval) < sc.duration:
+        if t >= sc.warmup:
+            times.append(t)
+        k += 1
+    return times
+
+
+class TestOnlineBound:
+    @pytest.mark.parametrize("channel", ["rural", "urban"])
+    @pytest.mark.parametrize("cbr_rate, dt", [
+        (112000, 0.1),    # one packet every 0.1 s: on the tick grid
+        (56000, 0.25),    # every 0.2 s, ticks every 0.25 s: one in five coincides
+        (22400, 0.25),    # every 0.5 s: every emission coincides with a tick
+        (150000, 0.1),    # off the tick grid
+    ])
+    def test_equals_post_hoc_bound(self, channel, cbr_rate, dt):
+        for seed in (1, 2, 3):
+            sc = Scenario(
+                nodes=6, box=Vec3(400, 400, 200), speed=90 / 3.6,
+                duration=12.0, warmup=2.0, cbr_rate=cbr_rate, channel=channel,
+                mobility=MobilityConfig(dt=dt), seed=seed,
+            )
+            sim = Simulation(sc)
+            m = sim.run()
+            expected = optimal_pdr_bound(
+                sim.trace, sim.r_tx, cbr_emission_times(sc), sim.sender, sim.receiver
+            )
+            assert m.optimal_bound == expected
+
+
 class TestBoundDominance:
     @pytest.mark.parametrize("protocol", ["parrot", "greedy", "flood"])
     def test_rural_pdr_never_exceeds_bound(self, protocol):
@@ -313,8 +352,62 @@ class TestOverheadAndTrace:
         for field in (x, y, z):
             float(field)
 
+    def test_trace_file_bytes_match_public_trace(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        sc = Scenario(
+            nodes=4, box=Vec3(200, 200, 100), duration=3.0, warmup=0.5,
+            cbr_rate=112000, seed=8, trace_path=str(path),
+        )
+        sim = Simulation(sc)
+        sim.run()
+        expected = "".join(
+            f"{t:.6f},{i},{pos.x:.6f},{pos.y:.6f},{pos.z:.6f}\n"
+            for t, positions in sim.trace
+            for i, pos in enumerate(positions)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_latencies_only_for_measured_packets(self):
         sc = quiet_flood_scenario()
         m = run(sc)
         measured = [t for t in m.latencies]
         assert len(measured) == m.delivered
+
+
+class TestRunLengthMemory:
+    def test_init_memory_does_not_grow_with_run_length(self):
+        # 300 s at the 2 Mbit/s reference load: 62,571 periodic events
+        # (53,571 CBR emissions, 6,000 chirps, 3,000 ticks).  Only the
+        # motion table (three floats per node per tick, up to duration +
+        # tau) may scale with the run.
+        sc = Scenario(duration=300.0, cbr_rate=2e6, seed=5)
+        cfg = sc.mobility
+        ticks = round((sc.duration + cfg.tau) / cfg.dt) + 1
+        motion_bytes = 24 * sc.nodes * ticks
+        tracemalloc.start()
+        try:
+            sim = Simulation(sc)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del sim
+        assert traced - motion_bytes < 0.5 * 2**20
+
+
+class TestFloodConservation:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        channel=st.sampled_from(["rural", "urban"]),
+        nodes=st.integers(3, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_conserves_packets_and_reruns_identically(self, channel, nodes, seed):
+        sc = Scenario(
+            nodes=nodes, box=Vec3(300, 300, 150), speed=90 / 3.6,
+            duration=4.0, warmup=1.0, cbr_rate=112000, protocol="flood",
+            channel=channel, seed=seed,
+        )
+        m = run(sc)
+        assert m.sent == m.delivered + sum(m.drops.values())
+        assert m.sent > 0
+        assert run(sc) == m
