@@ -4,17 +4,19 @@ Rural reception is the deterministic disk of radius r_TX derived from a
 log-distance link budget; urban reception multiplies the mean power by a
 Nakagami-m fading gain drawn per frame and receiver.  A unicast retry is the
 same frame: it reuses the gain that its frame drew at that receiver, and
-every new frame draws afresh (the simulator keeps the gains; see
-`faded_reception`).  The same r_TX feeds the link-expiry metric, keeping the
-rural channel and the LET model mutually consistent.
+every new frame draws afresh (the simulator keeps the gains on the frame, in
+dB, and draws them through `nakagami_sampler`).  The same r_TX feeds the
+link-expiry metric, keeping the rural channel and the LET model mutually
+consistent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
+from typing import Callable
 
 from .errors import ConfigError, require_finite
 
@@ -52,15 +54,24 @@ def reference_loss_db(budget: LinkBudget) -> float:
     return 20.0 * math.log10(4.0 * math.pi * budget.d0 * budget.frequency_hz / _LIGHT_SPEED)
 
 
+def path_loss_law(budget: LinkBudget) -> Callable[[float], float]:
+    """Mean received power in dBm as a function of distance under the
+    log-distance law of `budget`, with its constants worked out once;
+    distances below d0 are clamped to d0."""
+    head = budget.tx_power_dbm - reference_loss_db(budget)
+    slope = 10.0 * budget.path_loss_exponent
+    d0 = budget.d0
+    log10 = math.log10
+
+    def mean_power(distance: float) -> float:
+        return head - slope * log10((d0 if d0 > distance else distance) / d0)
+
+    return mean_power
+
+
 def mean_rx_power(budget: LinkBudget, distance: float) -> float:
-    """Mean received power in dBm under the log-distance law; distances
-    below d0 are clamped to d0."""
-    d = max(distance, budget.d0)
-    return (
-        budget.tx_power_dbm
-        - reference_loss_db(budget)
-        - 10.0 * budget.path_loss_exponent * math.log10(d / budget.d0)
-    )
+    """Mean received power in dBm at `distance`; see `path_loss_law`."""
+    return path_loss_law(budget)(distance)
 
 
 @lru_cache(maxsize=64)
@@ -90,11 +101,7 @@ def budget_for_radius(
         raise ConfigError(f"r_tx {r_tx} must exceed d0 {d0}")
     probe = LinkBudget(tx_power_dbm, frequency_hz, path_loss_exponent, d0, 0.0, nakagami_m)
     probe.validate()
-    sensitivity = (
-        tx_power_dbm
-        - reference_loss_db(probe)
-        - 10.0 * path_loss_exponent * math.log10(r_tx / d0)
-    )
+    sensitivity = mean_rx_power(probe, r_tx)
     return LinkBudget(tx_power_dbm, frequency_hz, path_loss_exponent, d0, sensitivity, nakagami_m)
 
 
@@ -106,6 +113,42 @@ def default_budget() -> LinkBudget:
 def nakagami_gain(m: float, rng: Random) -> float:
     """Nakagami-m power gain: Gamma with shape m and mean 1."""
     return rng.gammavariate(m, 1.0 / m)
+
+
+_LOG4 = math.log(4.0)
+_SG_MAGICCONST = 1.0 + math.log(4.5)
+
+
+def nakagami_sampler(m: float, rng: Random) -> Callable[[], float]:
+    """A draw of `nakagami_gain(m, rng)` with the per-call set-up done once.
+
+    For m > 1 this replays `Random.gammavariate`'s rejection loop (Cheng's
+    algorithm) with its constants worked out here, so it returns the same
+    gains and consumes `rng` exactly as `nakagami_gain` would; for m <= 1
+    gammavariate takes other branches, and the draw defers to it.
+    """
+    beta = 1.0 / m
+    if m <= 1.0:
+        return partial(rng.gammavariate, m, beta)
+    random, log, exp = rng.random, math.log, math.exp
+    ainv = math.sqrt(2.0 * m - 1.0)
+    bbb = m - _LOG4
+    ccc = m + ainv
+
+    def draw() -> float:
+        while True:
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = m * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                return x * beta
+
+    return draw
 
 
 def faded_reception(budget: LinkBudget, distance: float, gain: float) -> bool:

@@ -37,6 +37,13 @@ class Forward:
 
 ChirpAction = Discard | Forward
 
+# The verdicts are frozen values, so one instance per reason serves every
+# discard.
+_MALFORMED = Discard(DISCARD_MALFORMED)
+_SELF = Discard(DISCARD_SELF)
+_STALE = Discard(DISCARD_STALE)
+_TTL = Discard(DISCARD_TTL)
+
 
 @dataclass
 class RoutingParams:
@@ -91,6 +98,9 @@ class QTable:
     def __init__(self) -> None:
         self._rows: dict[int, dict[int, _QEntry]] = {}
         self._seq: dict[int, int] = {}
+        # A lower bound on the `updated` time of every entry, so that
+        # `evict` scans only when some entry can have timed out.
+        self._oldest = -math.inf
 
     def seq_fresh(self, dest: int, seq: int) -> bool:
         stored = self._seq.get(dest)
@@ -113,6 +123,8 @@ class QTable:
         q = entry.q if entry is not None else 0.0
         q = q + alpha * (discount * reward - q)
         row[neighbor] = _QEntry(q, now)
+        if now < self._oldest:
+            self._oldest = now
         return q
 
     def best(self, dest: int, live: dict[int, NeighborRecord] | set[int]) -> float:
@@ -127,12 +139,20 @@ class QTable:
         return best
 
     def evict(self, now: float, timeout: float) -> None:
+        """Delete the entries last updated more than `timeout` before `now`,
+        and the rows left empty."""
+        if now - self._oldest <= timeout:
+            return
+        oldest = now
         for dest in list(self._rows):
             row = self._rows[dest]
             for j in [j for j, e in row.items() if now - e.updated > timeout]:
                 del row[j]
-            if not row:
+            if row:
+                oldest = min(oldest, min(e.updated for e in row.values()))
+            else:
                 del self._rows[dest]
+        self._oldest = oldest
 
     def destinations(self) -> list[int]:
         return list(self._rows)
@@ -162,11 +182,17 @@ def compute_let(delta_p: Vec3, delta_v: Vec3, r_tx: float) -> float:
     not yet available when both are positive.  Equal velocities or no real
     roots degenerate to forever-in-range (inf) or forever-out (0).
     """
-    a = delta_v.dot(delta_v)
-    c = delta_p.dot(delta_p) - r_tx * r_tx
+    return _let(delta_p.x, delta_p.y, delta_p.z, delta_v.x, delta_v.y, delta_v.z, r_tx)
+
+
+def _let(px: float, py: float, pz: float, vx: float, vy: float, vz: float,
+         r_tx: float) -> float:
+    """`compute_let` on the components of dp and dv."""
+    a = vx * vx + vy * vy + vz * vz
+    c = (px * px + py * py + pz * pz) - r_tx * r_tx
     if a == 0.0:
         return math.inf if c <= 0.0 else 0.0
-    b = 2.0 * delta_p.dot(delta_v)
+    b = 2.0 * (px * vx + py * vy + pz * vz)
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return 0.0 if c > 0.0 else math.inf
@@ -230,12 +256,12 @@ class RoutingState:
         the local handling.
         """
         if forwarder is None:
-            return Discard(DISCARD_MALFORMED)
+            return _MALFORMED
         if chirp.originator == self.node_id:
-            return Discard(DISCARD_SELF)
+            return _SELF
         dest = chirp.originator
         if not self.table.seq_fresh(dest, chirp.seq):
-            return Discard(DISCARD_STALE)
+            return _STALE
         self.table.note_seq(dest, chirp.seq)
 
         self.neighbors[forwarder] = NeighborRecord(
@@ -250,7 +276,7 @@ class RoutingState:
 
         ttl = chirp.ttl - 1
         if ttl <= 0:
-            return Discard(DISCARD_TTL)
+            return _TTL
         return Forward(Chirp(
             originator=dest,
             position=self.self_position,
@@ -283,12 +309,17 @@ class RoutingState:
         tau = self.tau
         if tau <= 0.0:
             return 1.0
-        delta_p = record.position - self.self_position
-        delta_v = (
-            (record.predicted_position - record.position)
-            - (self.self_prediction - self.self_position)
-        ) * (1.0 / tau)
-        let = compute_let(delta_p, delta_v, self.r_tx)
+        # The Vec3 arithmetic of dp and dv, one component at a time.
+        p, q = record.position, record.predicted_position
+        s, t = self.self_position, self.self_prediction
+        k = 1.0 / tau
+        let = _let(
+            p.x - s.x, p.y - s.y, p.z - s.z,
+            ((q.x - p.x) - (t.x - s.x)) * k,
+            ((q.y - p.y) - (t.y - s.y)) * k,
+            ((q.z - p.z) - (t.z - s.z)) * k,
+            self.r_tx,
+        )
         if let >= tau:
             return 1.0
         return math.sqrt(let / tau)

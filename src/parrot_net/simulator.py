@@ -127,8 +127,10 @@ class DataPacket:
 class Frame:
     """Link-layer frame; link_dest None means broadcast.
 
-    A unicast retry re-sends the same Frame, so `fading` (urban power gain
-    per receiver id) carries over from one attempt to the next.
+    `fading` is None until the frame's first urban verdict, which fills it
+    with the fading gain in dB (`10 log10` of the power gain) at every
+    other node, in node order.  A unicast retry re-sends the same Frame,
+    so the gains carry over from one attempt to the next.
     """
 
     sender: int
@@ -137,7 +139,7 @@ class Frame:
     payload: object  # bytes for chirps, DataPacket for data
     size: int  # bytes incl. header overhead
     attempts: int = 0
-    fading: dict[int, float] = field(default_factory=dict)
+    fading: list[float] | None = None
 
 
 @dataclass
@@ -298,7 +300,12 @@ class Simulation:
             routing.update_self(position, self._self_prediction(i, 0))
             self.nodes.append(_Node(i, position, routing))
         # Link rows of the current tick, per sender; see _link_row.
-        self._rows: list[dict[_Node, float] | None] = [None] * scenario.nodes
+        self._rows: list[list | None] = [None] * scenario.nodes
+        # Every node but the sender, per sender, in node order.
+        self._others = [[o for o in self.nodes if o is not node] for node in self.nodes]
+        self._urban = scenario.channel == radio.URBAN
+        self._mean_power = radio.path_loss_law(scenario.budget)
+        self._draw_gain = radio.nakagami_sampler(scenario.budget.nakagami_m, self.rng_channel)
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
 
@@ -435,7 +442,7 @@ class Simulation:
 
     def _emit_chirp(self, node: _Node) -> None:
         chirp = node.routing.make_chirp(self.now)
-        self._enqueue(node, Frame(
+        self.enqueue(node, Frame(
             sender=node.id,
             link_dest=None,
             kind="chirp",
@@ -495,7 +502,7 @@ class Simulation:
                 self._enqueue_data(node, hop, pkt)
 
     def _enqueue_data(self, node: _Node, link_dest: int | None, pkt: DataPacket) -> None:
-        self._enqueue(node, Frame(
+        self.enqueue(node, Frame(
             sender=node.id,
             link_dest=link_dest,
             kind="data",
@@ -506,7 +513,10 @@ class Simulation:
 
     # -- MAC ------------------------------------------------------------------
 
-    def _enqueue(self, node: _Node, frame: Frame) -> None:
+    def enqueue(self, node: _Node, frame: Frame) -> None:
+        """The MAC entry point: queue `frame` at `node` and start sending
+        it if the node is idle.  A full queue refuses the frame, and a
+        refused data frame fails its packet."""
         if len(node.queue) >= self.sc.queue_limit:
             if frame.kind == "data":
                 self._note_fail(frame.payload, DROP_QUEUE)
@@ -532,9 +542,7 @@ class Simulation:
         for rec in node.inflight:
             rec.corrupted = True
         receptions: list[_Reception] = []
-        for other in self._link_row(node):
-            if not self.hears(frame, other):
-                continue
+        for other in self.hears(frame):
             rec = _Reception(frame, other)
             if other.transmitting is not None or other.inflight:
                 for ongoing in other.inflight:
@@ -545,48 +553,59 @@ class Simulation:
         airtime = frame.size * 8 / self.sc.link_rate
         self._schedule(self.now + airtime, lambda: self._tx_end(node, frame, receptions))
 
-    def _link_row(self, sender: _Node) -> dict[_Node, float]:
+    def _link_row(self, sender: _Node) -> list:
         """The links of `sender` at the current tick, built on its first
-        frame after the tick, in node order: rural maps each receiver
-        within r_TX to its distance, urban maps every other node to its
-        mean received power in dBm."""
+        frame after the tick from the motion table's floats: rural lists
+        the nodes within r_TX, urban the mean received power in dBm at
+        every other node, both in node order."""
         row = self._rows[sender.id]
         if row is None:
-            row = self._rows[sender.id] = {}
-            urban = self.sc.channel == radio.URBAN
-            for other in self.nodes:
-                if other is sender:
-                    continue
-                distance = sender.position.distance_to(other.position)
-                if urban:
-                    row[other] = radio.mean_rx_power(self.sc.budget, distance)
-                elif distance <= self.r_tx:
-                    row[other] = distance
+            others = self._others[sender.id]
+            base = 3 * self.sc.nodes * self._tick_index
+            m = self._motion
+            j = base + 3 * sender.id
+            x, y, z = m[j], m[j + 1], m[j + 2]
+            sqrt = math.sqrt
+            distances = []
+            for other in others:
+                j = base + 3 * other.id
+                # Vec3.distance_to, operation for operation.
+                dx = x - m[j]
+                dy = y - m[j + 1]
+                dz = z - m[j + 2]
+                distances.append(sqrt(dx * dx + dy * dy + dz * dz))
+            if self._urban:
+                row = [self._mean_power(d) for d in distances]
+            else:
+                r_tx = self.r_tx
+                row = [o for o, d in zip(others, distances) if d <= r_tx]
+            self._rows[sender.id] = row
         return row
 
-    def hears(self, frame: Frame, receiver: _Node) -> bool:
-        """Channel verdict for `frame` at `receiver` at the current tick.
+    def hears(self, frame: Frame) -> list[_Node]:
+        """The receivers of `frame` at the current tick, in node order.
 
-        The MAC asks it for each receiver in the sender's link row; it is
-        the seam through which a test scripts the channel.  Rural: the
-        receiver lies within r_TX.  Urban: block fading per (frame,
-        receiver), so a unicast retry reuses the gain its frame drew at
-        this receiver and every new frame draws afresh; the mean power is
-        that of the current tick, since a retry can straddle a tick.
+        The MAC asks once per transmission; it is the seam through which a
+        test scripts the channel.  Rural: the nodes within r_TX.  Urban:
+        block fading per (frame, receiver).  A frame's first verdict draws
+        the gains of every other node in node order and keeps them on the
+        frame in dB, so a unicast retry reuses them and every new frame
+        draws afresh; the mean power is that of the current tick, since a
+        retry can straddle a tick.
         """
-        link = self._link_row(self.nodes[frame.sender]).get(receiver)
-        if link is None:
-            return False
-        if self.sc.channel != radio.URBAN:
-            return True
+        row = self._link_row(self.nodes[frame.sender])
+        if not self._urban:
+            return row
         fading = frame.fading
-        gain = fading.get(receiver.id)
-        if gain is None:
-            gain = fading[receiver.id] = radio.nakagami_gain(
-                self.sc.budget.nakagami_m, self.rng_channel
-            )
+        if fading is None:
+            draw, log10 = self._draw_gain, math.log10
+            fading = frame.fading = [10.0 * log10(draw()) for _ in row]
         # radio.faded_reception, with the mean power taken from the row.
-        return link + 10.0 * math.log10(gain) >= self.sc.budget.sensitivity_dbm
+        sensitivity = self.sc.budget.sensitivity_dbm
+        return [
+            other for other, power, db in zip(self._others[frame.sender], row, fading)
+            if power + db >= sensitivity
+        ]
 
     def _tx_end(self, node: _Node, frame: Frame, receptions: list[_Reception]) -> None:
         node.transmitting = None
@@ -663,7 +682,7 @@ class Simulation:
                 size=CHIRP_SIZE + self.sc.header_overhead,
             )
             delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
-            self._schedule(self.now + delay, lambda: self._enqueue(receiver, out))
+            self._schedule(self.now + delay, lambda: self.enqueue(receiver, out))
 
     # -- accounting ---------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from parrot_net.channel import (
     default_budget,
     mean_rx_power,
     nakagami_gain,
+    nakagami_sampler,
     receive,
     reference_loss_db,
 )
@@ -139,6 +140,19 @@ class TestUrbanReception:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
             receive(default_budget(), "orbital", 10.0, Random(0))
+
+
+class TestNakagamiSampler:
+    @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 7.5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_replays_nakagami_gain_exactly(self, m, seed):
+        # Same gains, bit for bit, and the generator left in the same state,
+        # on Cheng's branch (m > 1) and on the fallback (m <= 1).
+        expected_rng, rng = Random(seed), Random(seed)
+        expected = [nakagami_gain(m, expected_rng) for _ in range(10_000)]
+        draw = nakagami_sampler(m, rng)
+        assert [draw() for _ in range(10_000)] == expected
+        assert rng.getstate() == expected_rng.getstate()
 
 
 def test_budget_validation():

@@ -31,9 +31,10 @@ def scenarios():
         yield replace(sc, mobility=replace(sc.mobility, tau=tau))
 
 
-def metrics_digest() -> str:
+def digest(runs) -> str:
+    """SHA-256 over the `RunMetrics` of each scenario in `runs`."""
     h = hashlib.sha256()
-    for sc in scenarios():
+    for sc in runs:
         m = run(sc)
         record = [
             m.sent, m.delivered, m.pdr.hex(), [x.hex() for x in m.latencies],
@@ -44,4 +45,4 @@ def metrics_digest() -> str:
 
 
 def test_run_metrics_match_golden_digest():
-    assert metrics_digest() == GOLDEN
+    assert digest(scenarios()) == GOLDEN

@@ -3,7 +3,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrot_net.chirp import Chirp
@@ -16,6 +16,7 @@ from parrot_net.routing import (
     Discard,
     Forward,
     NeighborRecord,
+    QTable,
     RoutingParams,
     RoutingState,
     compute_let,
@@ -108,6 +109,84 @@ class TestComputeLet:
                 assert abs(analytic - oracle) <= 1.5 * step
             checked += 1
         assert checked == 300
+
+
+def vec3_let(delta_p, delta_v, r_tx):
+    """`compute_let` written on Vec3 arithmetic: the reference that the
+    library's float core must match bit for bit."""
+    a = delta_v.dot(delta_v)
+    c = delta_p.dot(delta_p) - r_tx * r_tx
+    if a == 0.0:
+        return math.inf if c <= 0.0 else 0.0
+    b = 2.0 * delta_p.dot(delta_v)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return 0.0 if c > 0.0 else math.inf
+    root = math.sqrt(disc)
+    t2 = (-b + root) / (2.0 * a)
+    if t2 <= 0.0:
+        return 0.0
+    t1 = (-b - root) / (2.0 * a)
+    if t1 > 0.0:
+        return 0.0
+    return t2
+
+
+def vec3_phi_let(state, record):
+    """`RoutingState.phi_let` with dp and dv formed as Vec3s."""
+    tau = state.tau
+    if tau <= 0.0:
+        return 1.0
+    delta_p = record.position - state.self_position
+    delta_v = (
+        (record.predicted_position - record.position)
+        - (state.self_prediction - state.self_position)
+    ) * (1.0 / tau)
+    let = vec3_let(delta_p, delta_v, state.r_tx)
+    if let >= tau:
+        return 1.0
+    return math.sqrt(let / tau)
+
+
+def vectors(bound):
+    """Vec3s with full-mantissa components in [-bound, bound], so that every
+    rounding step of the formula counts, or the zero vector, so that the
+    degenerate cases (a == 0, equal points) come up."""
+    coords = st.integers(-2**52, 2**52).map(lambda k: k * bound / 2**52)
+    return st.one_of(st.just(Vec3()), st.builds(Vec3, coords, coords, coords))
+
+
+# Offsets and radii of the size a run sees, so that most links are live
+# and the LET takes its full quadratic path.
+points, steps, radii = vectors(100.0), vectors(60.0), st.floats(50.0, 300.0)
+
+
+class TestLetFloatCore:
+    @settings(max_examples=500, deadline=None)
+    @given(dp=points, dv=vectors(30.0), r_tx=radii)
+    @example(dp=Vec3(50, 0, 0), dv=Vec3(), r_tx=150.0)  # a == 0
+    @example(dp=Vec3(200, -500, 0), dv=Vec3(0, 10, 0), r_tx=100.0)  # disc < 0
+    def test_compute_let_matches_vec3_formula(self, dp, dv, r_tx):
+        assert compute_let(dp, dv, r_tx) == vec3_let(dp, dv, r_tx)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        own=points, own_step=steps, position=points, step=steps,
+        tau=st.one_of(st.just(0.0), st.floats(0.05, 10.0)), r_tx=radii,
+    )
+    @example(own=Vec3(), own_step=Vec3(), position=Vec3(50, 0, 0),
+             step=Vec3(), tau=2.5, r_tx=150.0)  # a == 0
+    @example(own=Vec3(), own_step=Vec3(), position=Vec3(200, -500, 0),
+             step=Vec3(0, 25, 0), tau=2.5, r_tx=100.0)  # disc < 0
+    @example(own=Vec3(), own_step=Vec3(10, 0, 0), position=Vec3(50, 0, 0),
+             step=Vec3(-50, 0, 0), tau=0.0, r_tx=150.0)  # tau == 0
+    def test_phi_let_matches_vec3_formula(self, own, own_step, position, step,
+                                          tau, r_tx):
+        state = make_state(tau=tau, r_tx=r_tx)
+        state.update_self(own, own + own_step)
+        record = NeighborRecord(node=2, last_heard=0.0, position=position,
+                                predicted_position=position + step, cohesion=1.0)
+        assert state.phi_let(record, 0.0) == vec3_phi_let(state, record)
 
 
 def brute_force_exit_time(dp, dv, r, step, horizon):
@@ -408,6 +487,57 @@ class TestExpire:
         state.table.update(9, 2, 1.0, 0.5, 1.0, 0.0)
         state.table.evict(3.1, state.params.entry_timeout)
         assert state.table.get(9, 2) == 0.0
+
+
+class FullScanQTable(QTable):
+    """Scans every entry on every `evict`: the reference for the eviction
+    bound of `QTable`."""
+
+    def evict(self, now, timeout):
+        for dest in list(self._rows):
+            row = self._rows[dest]
+            for j in [j for j, e in row.items() if now - e.updated > timeout]:
+                del row[j]
+            if not row:
+                del self._rows[dest]
+
+
+def table_contents(table):
+    return [(dest, list(table.row(dest).items())) for dest in table.destinations()]
+
+
+class TestEvictionBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Round times make entries that sit exactly at the timeout likely.
+        timeout=st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.1, 5.0)),
+        ops=st.lists(
+            st.tuples(
+                st.one_of(                              # time step, may go back
+                    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+                    st.floats(-0.5, 2.0),
+                ),
+                st.one_of(st.none(), st.tuples(         # None: evict
+                    st.integers(0, 3),                  # destination
+                    st.integers(0, 3),                  # neighbor
+                    st.floats(0.0, 1.0),                # discount
+                )),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_full_scan(self, timeout, ops):
+        bounded, full = QTable(), FullScanQTable()
+        now = 0.0
+        for step, update in ops:
+            now += step
+            for table in (bounded, full):
+                if update is None:
+                    table.evict(now, timeout)
+                else:
+                    dest, neighbor, discount = update
+                    table.update(dest, neighbor, 0.5, discount, 1.0, now)
+            assert table_contents(bounded) == table_contents(full)
 
 
 class TestBoundedness:

@@ -13,6 +13,7 @@ from parrot_net.errors import ConfigError
 from parrot_net.kinematics import MobilityConfig, Vec3
 from parrot_net.simulator import (
     DROP_CAUSES,
+    PROTOCOLS,
     Frame,
     Scenario,
     Simulation,
@@ -133,8 +134,8 @@ class TestMacBehavior:
             payload=None, size=100,
         )
         # Drive the MAC directly: both nodes start transmitting at t=0.
-        sim._enqueue(sim.nodes[0], frame(0))
-        sim._enqueue(sim.nodes[1], frame(1))
+        sim.enqueue(sim.nodes[0], frame(0))
+        sim.enqueue(sim.nodes[1], frame(1))
         receptions = sim.nodes[2].inflight
         assert len(receptions) == 2
         assert all(rec.corrupted for rec in receptions)
@@ -142,9 +143,9 @@ class TestMacBehavior:
     def test_half_duplex_receiver_misses_while_talking(self):
         sc = quiet_flood_scenario()
         sim = Simulation(sc)
-        sim._enqueue(sim.nodes[0], Frame(0, None, "data", None, 5000))
+        sim.enqueue(sim.nodes[0], Frame(0, None, "data", None, 5000))
         # Node 0 is mid-transmission; a frame arriving at it is corrupted.
-        sim._enqueue(sim.nodes[1], Frame(1, None, "data", None, 100))
+        sim.enqueue(sim.nodes[1], Frame(1, None, "data", None, 100))
         at_zero = [rec for rec in sim.nodes[0].inflight]
         assert len(at_zero) == 1 and at_zero[0].corrupted
 
@@ -157,10 +158,10 @@ class TestMacBehavior:
         )
 
         class Scripted(Simulation):
-            def hears(self, frame, receiver):
+            def hears(self, frame):
                 if frame.kind == "data" and frame.attempts < 3:
-                    return False
-                return super().hears(frame, receiver)
+                    return []
+                return super().hears(frame)
 
         m = Scripted(sc).run()
         airtime = (sc.payload + sc.header_overhead) * 8 / sc.link_rate
@@ -175,10 +176,10 @@ class TestMacBehavior:
         )
 
         class Deaf(Simulation):
-            def hears(self, frame, receiver):
+            def hears(self, frame):
                 if frame.kind == "data":
-                    return False
-                return super().hears(frame, receiver)
+                    return []
+                return super().hears(frame)
 
         m = Deaf(sc).run()
         assert m.delivered == 0
@@ -197,12 +198,12 @@ class TestMacBehavior:
         for _ in range(60):
             frame = Frame(sender.id, receiver.id, "data", None, 100)
             before = sim.rng_channel.getstate()
-            first = sim.hears(frame, receiver)
+            first = receiver in sim.hears(frame)
             drawn = sim.rng_channel.getstate()
             assert drawn != before, "a new frame draws a fresh gain"
             for _ in range(sc.retry_limit):
                 frame.attempts += 1
-                assert sim.hears(frame, receiver) == first
+                assert (receiver in sim.hears(frame)) == first
                 assert sim.rng_channel.getstate() == drawn, "a retry draws no gain"
             verdicts.append(first)
         assert True in verdicts and False in verdicts
@@ -212,7 +213,7 @@ class TestMacBehavior:
         sim = Simulation(sc)
         node = sim.nodes[0]
         for _ in range(sc.queue_limit + 5):
-            sim._enqueue(node, Frame(0, None, "chirp", b"x" * 40, 68))
+            sim.enqueue(node, Frame(0, None, "chirp", b"x" * 40, 68))
         # One frame is on the air, the queue is full, the rest were refused.
         assert len(node.queue) == sc.queue_limit
 
@@ -411,3 +412,34 @@ class TestFloodConservation:
         assert m.sent == m.delivered + sum(m.drops.values())
         assert m.sent > 0
         assert run(sc) == m
+
+
+class TestRunInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        channel=st.sampled_from(["rural", "urban"]),
+        nodes=st.integers(3, 8),
+        speed_kmh=st.floats(0.0, 150.0),
+        duration=st.floats(1.0, 4.0),
+        seed=st.integers(0, 2**31),
+    )
+    def test_documented_invariants_hold(self, protocol, channel, nodes, speed_kmh,
+                                        duration, seed):
+        sc = Scenario(
+            nodes=nodes, box=Vec3(300, 300, 150), speed=speed_kmh / 3.6,
+            duration=duration, warmup=duration / 4, cbr_rate=112000,
+            protocol=protocol, channel=channel, seed=seed,
+        )
+        sim = Simulation(sc)
+        m = sim.run()
+        assert m.sent > 0
+        assert m.sent == m.delivered + sum(m.drops.values())
+        if channel == "rural":
+            assert m.pdr <= m.optimal_bound
+        assert run(sc) == m
+        gamma0 = sc.routing.gamma0
+        for node in sim.nodes:
+            table = node.routing.table
+            for dest in table.destinations():
+                assert all(q <= gamma0 for q in table.row(dest).values())
