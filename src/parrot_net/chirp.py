@@ -17,7 +17,7 @@ import math
 import struct
 from dataclasses import dataclass
 
-from .kinematics import Vec3
+from .kinematics import Vec3, slot_init
 
 _FRAME = struct.Struct(">I3f3fffHH")
 
@@ -36,6 +36,7 @@ class ChirpValidationError(ValueError):
     """Field values violate the chirp's semantic domain."""
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Chirp:
     """One routing beacon.  Float fields live on the wire as binary32, so a
@@ -50,37 +51,31 @@ class Chirp:
     ttl: int
 
 
-def _validate(c: Chirp) -> None:
-    if not 0 <= c.originator < (1 << 32):
-        raise ChirpValidationError(f"originator {c.originator} out of u32 range")
-    if not c.position.is_finite() or not c.predicted_position.is_finite():
+def _check(originator: int, px: float, py: float, pz: float, qx: float, qy: float,
+           qz: float, reward: float, cohesion: float, seq: int, ttl: int) -> None:
+    """Refuse field values outside the chirp domain, given in wire order."""
+    if not 0 <= originator < (1 << 32):
+        raise ChirpValidationError(f"originator {originator} out of u32 range")
+    isfinite = math.isfinite
+    if not (isfinite(px) and isfinite(py) and isfinite(pz)
+            and isfinite(qx) and isfinite(qy) and isfinite(qz)):
         raise ChirpValidationError("position fields must be finite")
-    if not (math.isfinite(c.reward) and 0.0 <= c.reward <= 1.0):
-        raise ChirpValidationError(f"reward {c.reward} outside [0, 1]")
-    if not (math.isfinite(c.cohesion) and 0.0 <= c.cohesion <= 1.0):
-        raise ChirpValidationError(f"cohesion {c.cohesion} outside [0, 1]")
-    if not 0 <= c.seq < _SEQ_MOD:
-        raise ChirpValidationError(f"seq {c.seq} out of u16 range")
-    if not 0 <= c.ttl < _SEQ_MOD:
-        raise ChirpValidationError(f"ttl {c.ttl} out of u16 range")
+    if not (isfinite(reward) and 0.0 <= reward <= 1.0):
+        raise ChirpValidationError(f"reward {reward} outside [0, 1]")
+    if not (isfinite(cohesion) and 0.0 <= cohesion <= 1.0):
+        raise ChirpValidationError(f"cohesion {cohesion} outside [0, 1]")
+    if not 0 <= seq < _SEQ_MOD:
+        raise ChirpValidationError(f"seq {seq} out of u16 range")
+    if not 0 <= ttl < _SEQ_MOD:
+        raise ChirpValidationError(f"ttl {ttl} out of u16 range")
 
 
 def encode_chirp(c: Chirp) -> bytes:
     """Encode to the 40-byte frame; refuses invariant-violating chirps."""
-    _validate(c)
-    return _FRAME.pack(
-        c.originator,
-        c.position.x,
-        c.position.y,
-        c.position.z,
-        c.predicted_position.x,
-        c.predicted_position.y,
-        c.predicted_position.z,
-        c.reward,
-        c.cohesion,
-        c.seq,
-        c.ttl,
-    )
+    p, q = c.position, c.predicted_position
+    fields = (c.originator, p.x, p.y, p.z, q.x, q.y, q.z, c.reward, c.cohesion, c.seq, c.ttl)
+    _check(*fields)
+    return _FRAME.pack(*fields)
 
 
 def decode_chirp(frame: bytes) -> Chirp:
@@ -91,18 +86,10 @@ def decode_chirp(frame: bytes) -> Chirp:
     """
     if len(frame) != CHIRP_SIZE:
         raise MalformedFrameError(f"expected {CHIRP_SIZE} bytes, got {len(frame)}")
-    (orig, px, py, pz, qx, qy, qz, reward, cohesion, seq, ttl) = _FRAME.unpack(frame)
-    c = Chirp(
-        originator=orig,
-        position=Vec3(px, py, pz),
-        predicted_position=Vec3(qx, qy, qz),
-        reward=reward,
-        cohesion=cohesion,
-        seq=seq,
-        ttl=ttl,
-    )
-    _validate(c)
-    return c
+    fields = _FRAME.unpack(frame)
+    _check(*fields)
+    orig, px, py, pz, qx, qy, qz, reward, cohesion, seq, ttl = fields
+    return Chirp(orig, Vec3(px, py, pz), Vec3(qx, qy, qz), reward, cohesion, seq, ttl)
 
 
 def seq_newer(incoming: int, stored: int) -> bool:

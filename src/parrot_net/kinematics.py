@@ -8,10 +8,52 @@ that extrapolates the average velocity of the recent position history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from random import Random
 
 
+def slot_init(cls: type) -> type:
+    """Give a frozen slotted dataclass a cheaper `__init__`.
+
+    The frozen dataclass `__init__` stores each field through
+    `object.__setattr__`; this one, with the same signature and defaults,
+    stores it through the field's slot descriptor, at about half the cost.
+    The frozen `__setattr__` still guards every later assignment.  Apply it
+    above `@dataclass(frozen=True, slots=True)`.  A class with
+    `__post_init__`, a `default_factory` or an `init=False` field is
+    refused, since this `__init__` would skip them.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen or "__slots__" not in cls.__dict__:
+        raise TypeError(f"{cls.__name__} is not a frozen slotted dataclass")
+    own = fields(cls)
+    if hasattr(cls, "__post_init__") or any(
+        f.default_factory is not MISSING or not f.init for f in own
+    ):
+        raise TypeError(
+            f"{cls.__name__} needs the dataclass __init__: it has __post_init__, "
+            "a default_factory or an init=False field"
+        )
+    generated = cls.__init__
+    code = generated.__code__
+    args = list(code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount])
+    if code.co_kwonlyargcount:
+        args.insert(code.co_argcount - 1, "*")
+    names = [f.name for f in own]
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names) or "    pass\n"
+    namespace = {f"_set_{name}": cls.__dict__[name].__set__ for name in names}
+    exec(f"def __init__({', '.join(['self'] + args)}):\n{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = generated.__defaults__
+    init.__kwdefaults__ = generated.__kwdefaults__
+    init.__annotations__ = generated.__annotations__
+    init.__qualname__ = generated.__qualname__
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Vec3:
     """Point or velocity in 3-space (meters / meters per second)."""
@@ -74,6 +116,7 @@ class MobilityConfig:
             raise ValueError(f"h must be >= 2, got {self.h}")
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class KinematicState:
     """Value-semantics motion state of one node.
@@ -93,21 +136,53 @@ class KinematicState:
         return max(0, len(self.waypoints) - self.cursor)
 
 
-def _advance_cursor(pos: Vec3, waypoints: tuple[Vec3, ...], k: int, r_w: float) -> int:
+def _contain(x: float, y: float, z: float, waypoints: tuple[Vec3, ...], k: int,
+             r_w: float) -> int:
     # Containment is also checked before the first step so a node spawned
     # inside the waypoint sphere does not stall for one tick.
-    while k < len(waypoints) and pos.distance_to(waypoints[k]) <= r_w:
-        k += 1
+    n = len(waypoints)
+    while k < n:
+        w = waypoints[k]
+        # Vec3.distance_to, operation for operation.
+        dx = x - w.x
+        dy = y - w.y
+        dz = z - w.z
+        if math.sqrt(dx * dx + dy * dy + dz * dz) <= r_w:
+            k += 1
+        else:
+            break
     return k
 
 
-def _step_towards(pos: Vec3, target: Vec3, step: float) -> Vec3:
-    gap = target - pos
-    dist = gap.norm()
-    if dist <= step:
-        # Never overshoot the waypoint; inert whenever r_w >= speed * dt.
-        return target
-    return pos + gap * (step / dist)
+def motion_step(x: float, y: float, z: float, k: int, waypoints: tuple[Vec3, ...],
+                speed: float, dt: float, r_w: float) -> tuple[float, float, float, int]:
+    """One mobility tick of the waypoint follower on bare floats.
+
+    Takes and returns the position and the cursor, the index of the
+    waypoint steered for.  The node moves speed * dt toward that waypoint,
+    never past it, and a waypoint counts as reached once the node is within
+    r_w of it.  A node with no waypoint left, or no speed, holds position.
+    This is the one motion law: the table of a run, `step_random_waypoint`
+    and `predict_waypoint` all step through it.
+    """
+    k = _contain(x, y, z, waypoints, k, r_w)
+    if k < len(waypoints) and speed > 0.0:
+        w = waypoints[k]
+        step = speed * dt
+        gx = w.x - x
+        gy = w.y - y
+        gz = w.z - z
+        dist = math.sqrt(gx * gx + gy * gy + gz * gz)
+        if dist <= step:
+            # Never overshoot the waypoint; inert whenever r_w >= speed * dt.
+            x, y, z = w.x, w.y, w.z
+        else:
+            s = step / dist
+            x = x + gx * s
+            y = y + gy * s
+            z = z + gz * s
+        k = _contain(x, y, z, waypoints, k, r_w)
+    return x, y, z, k
 
 
 def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
@@ -118,17 +193,12 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     holds position for the remaining steps.
     """
     pos = state.position
-    step = state.speed * cfg.dt
-    if step <= 0.0:
+    if state.speed * cfg.dt <= 0.0:
         return pos
-    n = int(cfg.tau / cfg.dt + 1e-9)
-    k = _advance_cursor(pos, state.waypoints, state.cursor, cfg.r_w)
-    for _ in range(n):
-        if k >= len(state.waypoints):
-            break
-        pos = _step_towards(pos, state.waypoints[k], step)
-        k = _advance_cursor(pos, state.waypoints, k, cfg.r_w)
-    return pos
+    x, y, z, k = pos.x, pos.y, pos.z, state.cursor
+    for _ in range(int(cfg.tau / cfg.dt + 1e-9)):
+        x, y, z, k = motion_step(x, y, z, k, state.waypoints, state.speed, cfg.dt, cfg.r_w)
+    return Vec3(x, y, z)
 
 
 def predict_slope(state: KinematicState, cfg: MobilityConfig) -> Vec3:
@@ -161,11 +231,10 @@ def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> Kinemati
     error is zero while the queue lasts.  A node with an exhausted queue is
     stationary.  Returns a new state; the history ring gains one sample.
     """
-    pos = state.position
-    k = _advance_cursor(pos, state.waypoints, state.cursor, cfg.r_w)
-    if k < len(state.waypoints) and state.speed > 0.0:
-        pos = _step_towards(pos, state.waypoints[k], state.speed * cfg.dt)
-        k = _advance_cursor(pos, state.waypoints, k, cfg.r_w)
+    p = state.position
+    x, y, z, k = motion_step(p.x, p.y, p.z, state.cursor, state.waypoints,
+                             state.speed, cfg.dt, cfg.r_w)
+    pos = Vec3(x, y, z)
     hist = (state.history + (pos,))[-cfg.h:]
     return replace(state, position=pos, cursor=k, history=hist)
 

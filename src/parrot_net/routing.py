@@ -10,11 +10,12 @@ highest Q for the destination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
-from .chirp import Chirp, seq_newer
+from .chirp import _SEQ_HALF, _SEQ_MOD, Chirp
 from .errors import ConfigError, require_finite
-from .kinematics import Vec3
+from .kinematics import Vec3, slot_init
 
 # Q values at or below this level are treated as "no route".
 Q_FLOOR = 1e-4
@@ -25,11 +26,13 @@ DISCARD_TTL = "ttl-expired"
 DISCARD_MALFORMED = "malformed"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Discard:
     reason: str
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Forward:
     chirp: Chirp
@@ -102,12 +105,14 @@ class QTable:
         # `evict` scans only when some entry can have timed out.
         self._oldest = -math.inf
 
-    def seq_fresh(self, dest: int, seq: int) -> bool:
+    def note_fresh_seq(self, dest: int, seq: int) -> bool:
+        """Keep `seq` as the freshest SEQ toward `dest` and return True,
+        unless it is not newer (`chirp.seq_newer`) than the one kept."""
         stored = self._seq.get(dest)
-        return stored is None or seq_newer(seq, stored)
-
-    def note_seq(self, dest: int, seq: int) -> None:
+        if stored is not None and not 0 < (seq - stored) % _SEQ_MOD < _SEQ_HALF:
+            return False
         self._seq[dest] = seq
+        return True
 
     def get(self, dest: int, neighbor: int) -> float:
         row = self._rows.get(dest)
@@ -168,9 +173,10 @@ class CohesionHistory:
     snapshot: frozenset[int] = frozenset()
     snapshot_time: float = 0.0
 
-    def refresh(self, now: float, current: frozenset[int], window: float) -> None:
+    def refresh(self, now: float, current: Iterable[int], window: float) -> None:
+        """Take `current` as the new snapshot once `window` has elapsed."""
         if now - self.snapshot_time >= window:
-            self.snapshot = current
+            self.snapshot = frozenset(current)
             self.snapshot_time = now
 
 
@@ -260,9 +266,8 @@ class RoutingState:
         if chirp.originator == self.node_id:
             return _SELF
         dest = chirp.originator
-        if not self.table.seq_fresh(dest, chirp.seq):
+        if not self.table.note_fresh_seq(dest, chirp.seq):
             return _STALE
-        self.table.note_seq(dest, chirp.seq)
 
         self.neighbors[forwarder] = NeighborRecord(
             node=forwarder,
@@ -357,4 +362,4 @@ class RoutingState:
         for j in [j for j, rec in self.neighbors.items() if now - rec.last_heard > timeout]:
             del self.neighbors[j]
         self.table.evict(now, self.params.entry_timeout)
-        self.cohesion.refresh(now, frozenset(self.neighbors), self.params.cohesion_window)
+        self.cohesion.refresh(now, self.neighbors, self.params.cohesion_window)

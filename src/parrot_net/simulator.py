@@ -24,7 +24,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import channel as radio
 from .channel import LinkBudget, default_budget
@@ -35,9 +35,13 @@ from .kinematics import (
     MobilityConfig,
     Vec3,
     make_random_waypoint_state,
+    motion_step,
     predict_position,
-    step_random_waypoint,
+    slot_init,
 )
+# Bound for perfbench/tracer.py, which hooks the name here; the motion
+# table steps through `motion_step`.
+from .kinematics import step_random_waypoint  # noqa: F401
 from .routing import Forward, RoutingParams, RoutingState
 
 PROTOCOLS = ("parrot", "greedy", "flood")
@@ -109,10 +113,21 @@ class Scenario:
             raise ConfigError("speed must be >= 0")
         if self.hop_budget < 1:
             raise ConfigError("hop budget must be >= 1")
+        # Each of these delays an event; a negative one would fire it
+        # before the event that scheduled it.
+        for name in ("header_overhead", "retry_backoff", "forward_jitter"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if self.queue_limit < 1:
+            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
+        if self.retry_limit < 0:
+            raise ConfigError(f"retry_limit must be >= 0, got {self.retry_limit}")
         self.routing.validate()
         self.budget.validate()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DataPacket:
     pid: int
@@ -142,11 +157,16 @@ class Frame:
     fading: list[float] | None = None
 
 
-@dataclass
 class _Reception:
-    frame: Frame
-    node: "_Node"
-    corrupted: bool = False
+    """One node's reception of one transmission.  It compares by identity,
+    so removing it from a node's `inflight` list compares no frames."""
+
+    __slots__ = ("frame", "node", "corrupted")
+
+    def __init__(self, frame: Frame, node: "_Node"):
+        self.frame = frame
+        self.node = node
+        self.corrupted = False
 
 
 @dataclass
@@ -183,9 +203,9 @@ class _PacketState:
 
 
 class _Node:
-    def __init__(self, node_id: int, position: Vec3, routing: RoutingState):
+    def __init__(self, node_id: int, routing: RoutingState):
         self.id = node_id
-        self.position = position  # at the latest mobility tick
+        self.position = Vec3()  # at the latest mobility tick; see Simulation._place
         self.routing = routing
         self.queue: deque[Frame] = deque()
         self.transmitting: Frame | None = None
@@ -233,10 +253,12 @@ def optimal_pdr_bound(
         return 0.0
     times = [t for t, _ in trace]
     per_snapshot = Counter(max(bisect_right(times, emit) - 1, 0) for emit in emission_times)
-    reachable = sum(
-        count for idx, count in per_snapshot.items()
-        if _reaches(trace[idx][1], r_tx, sender, receiver)
-    )
+    reachable = 0
+    for idx, count in per_snapshot.items():
+        positions = trace[idx][1]
+        coords = [c for p in positions for c in (p.x, p.y, p.z)]
+        if _reaches(coords, 0, len(positions), r_tx, sender, receiver):
+            reachable += count
     return reachable / len(emission_times)
 
 
@@ -247,19 +269,29 @@ def _first_not_before(offset: float, interval: float, k: int, limit: float) -> i
     return k
 
 
-def _reaches(positions: tuple[Vec3, ...], r_tx: float, src: int, dst: int) -> bool:
-    n = len(positions)
+def _reaches(coords: Sequence[float], base: int, n: int, r_tx: float, src: int,
+             dst: int) -> bool:
+    """Whether `dst` is joined to `src` in the disk graph of radius r_tx
+    over n positions, kept as x, y, z floats from `coords[base]` on."""
+    sqrt = math.sqrt
     seen = {src}
     frontier = deque([src])
     while frontier:
         u = frontier.popleft()
         if u == dst:
             return True
-        pu = positions[u]
+        j = base + 3 * u
+        x, y, z = coords[j], coords[j + 1], coords[j + 2]
         for v in range(n):
-            if v not in seen and pu.distance_to(positions[v]) <= r_tx:
-                seen.add(v)
-                frontier.append(v)
+            if v not in seen:
+                j = base + 3 * v
+                # Vec3.distance_to, operation for operation.
+                dx = x - coords[j]
+                dy = y - coords[j + 1]
+                dz = z - coords[j + 2]
+                if sqrt(dx * dx + dy * dy + dz * dz) <= r_tx:
+                    seen.add(v)
+                    frontier.append(v)
     return False
 
 
@@ -293,12 +325,11 @@ class Simulation:
         ]
         self._build_motion(states)
         self._tick_index = 0
-        self.nodes: list[_Node] = []
-        for i in range(scenario.nodes):
-            position = self._position(0, i)
-            routing = RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx)
-            routing.update_self(position, self._self_prediction(i, 0))
-            self.nodes.append(_Node(i, position, routing))
+        self.nodes = [
+            _Node(i, RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx))
+            for i in range(scenario.nodes)
+        ]
+        self._place(0)
         # Link rows of the current tick, per sender; see _link_row.
         self._rows: list[list | None] = [None] * scenario.nodes
         # Every node but the sender, per sender, in node order.
@@ -333,35 +364,63 @@ class Simulation:
 
         `_motion` holds the coordinates of every node at every tick, read
         through `_position(k, i)`; plain floats take about a fifth of the
-        memory of `Vec3`s.  The waypoint predictor replays this very motion
-        law, so the self-prediction at tick k is the position at k + `_lead`.
-        `_exhausted[i]` is the first tick at which node i has no waypoint
-        left (past the table if none), from where prediction falls back to
-        the slope of its position history.
+        memory of `Vec3`s.  Each tick's row is stepped from the previous
+        row's floats and each node's cursor through `motion_step`, the
+        motion law `step_random_waypoint` applies.  The waypoint predictor
+        replays this very law, so the self-prediction at tick k is the
+        position at k + `_lead`.  `_exhausted[i]` is the first tick at
+        which node i has no waypoint left (past the table if none), from
+        where prediction falls back to the slope of its position history.
         """
         cfg = self.sc.mobility
+        dt, r_w = cfg.dt, cfg.r_w
         n_steps = self._n_ticks + self._lead
-        self._motion = array("d")
-        self._exhausted = [n_steps + 1] * len(states)
-        for k in range(n_steps + 1):
-            if k:
-                states = [step_random_waypoint(s, cfg) for s in states]
+        motion = self._motion = array("d")
+        exhausted = self._exhausted = [n_steps + 1] * len(states)
+        cursors = [s.cursor for s in states]
+        for i, s in enumerate(states):
+            p = s.position
+            motion.extend((p.x, p.y, p.z))
+            if cursors[i] >= len(s.waypoints):
+                exhausted[i] = 0
+        j = 0
+        for k in range(1, n_steps + 1):
             for i, s in enumerate(states):
-                p = s.position
-                self._motion.extend((p.x, p.y, p.z))
-                if k < self._exhausted[i] and s.remaining_waypoints() == 0:
-                    self._exhausted[i] = k
+                x, y, z, c = motion_step(motion[j], motion[j + 1], motion[j + 2], cursors[i],
+                                         s.waypoints, s.speed, dt, r_w)
+                motion.extend((x, y, z))
+                cursors[i] = c
+                if k < exhausted[i] and c >= len(s.waypoints):
+                    exhausted[i] = k
+                j += 3
 
     def _position(self, k: int, i: int) -> Vec3:
         j = 3 * (k * self.sc.nodes + i)
         m = self._motion
         return Vec3(m[j], m[j + 1], m[j + 2])
 
-    def _self_prediction(self, i: int, k: int) -> Vec3:
-        if k < self._exhausted[i]:
-            return self._position(k + self._lead, i)
-        # The state predict_position would see: the history ring of the
-        # last h positions and an empty waypoint queue.
+    def _place(self, k: int) -> None:
+        """Set every node's position and self-prediction to those of tick
+        k, read from the motion table."""
+        m = self._motion
+        n = self.sc.nodes
+        j = 3 * n * k
+        ahead = 3 * n * self._lead
+        exhausted = self._exhausted
+        for node in self.nodes:
+            node.position = Vec3(m[j], m[j + 1], m[j + 2])
+            if k < exhausted[node.id]:
+                q = j + ahead
+                predicted = Vec3(m[q], m[q + 1], m[q + 2])
+            else:
+                predicted = self._slope_prediction(node.id, k)
+            node.routing.update_self(node.position, predicted)
+            j += 3
+
+    def _slope_prediction(self, i: int, k: int) -> Vec3:
+        """The self-prediction of node i at tick k once its waypoints have
+        run out: predict_position over the state it would see, the history
+        ring of the last h positions and an empty waypoint queue."""
         cfg = self.sc.mobility
         history = tuple(self._position(j, i) for j in range(max(0, k - cfg.h + 1), k + 1))
         return predict_position(KinematicState(history[-1], self.sc.speed, history=history), cfg)
@@ -432,10 +491,8 @@ class Simulation:
 
     def _tick(self) -> None:
         self._tick_index += 1
-        k = self._tick_index
+        self._place(self._tick_index)
         for node in self.nodes:
-            node.position = self._position(k, node.id)
-            node.routing.update_self(node.position, self._self_prediction(node.id, k))
             node.routing.expire(self.now)
         self._rows = [None] * len(self.nodes)
         self._reach = None
@@ -467,8 +524,9 @@ class Simulation:
             # Ticks fire before emissions at equal timestamps, so the
             # current tick is the latest trace snapshot at this emission.
             if self._reach is None:
-                positions = tuple(node.position for node in self.nodes)
-                self._reach = _reaches(positions, self.r_tx, self.sender, self.receiver)
+                n = self.sc.nodes
+                self._reach = _reaches(self._motion, 3 * n * self._tick_index, n, self.r_tx,
+                                       self.sender, self.receiver)
             self._reachable += self._reach
         self._forward_data(self.nodes[pkt.src], pkt)
 
@@ -551,7 +609,7 @@ class Simulation:
             other.inflight.append(rec)
             receptions.append(rec)
         airtime = frame.size * 8 / self.sc.link_rate
-        self._schedule(self.now + airtime, lambda: self._tx_end(node, frame, receptions))
+        self._schedule(self.now + airtime, partial(self._tx_end, node, frame, receptions))
 
     def _link_row(self, sender: _Node) -> list:
         """The links of `sender` at the current tick, built on its first
@@ -631,7 +689,9 @@ class Simulation:
             if clean:
                 chirp = decode_chirp(frame.payload)
                 for receiver in clean:
-                    self._deliver_chirp(receiver, frame.sender, chirp)
+                    action = receiver.routing.handle_chirp(chirp, frame.sender, self.now)
+                    if isinstance(action, Forward):
+                        self._forward_chirp(receiver, action.chirp)
         else:
             pkt: DataPacket = frame.payload
             if len(clean) > 1:
@@ -650,10 +710,8 @@ class Simulation:
     def _retry_or_drop(self, node: _Node, frame: Frame, target_rec: _Reception | None) -> None:
         frame.attempts += 1
         if frame.attempts <= self.sc.retry_limit:
-            self._schedule(
-                self.now + self.sc.retry_backoff,
-                lambda: self._requeue_front(node, frame),
-            )
+            self._schedule(self.now + self.sc.retry_backoff,
+                           partial(self._requeue_front, node, frame))
             return
         cause = DROP_COLLISION if target_rec is not None else DROP_CHANNEL
         self._note_fail(frame.payload, cause)
@@ -671,18 +729,17 @@ class Simulation:
             return
         self._forward_data(receiver, pkt)
 
-    def _deliver_chirp(self, receiver: _Node, forwarder: int, chirp: Chirp) -> None:
-        action = receiver.routing.handle_chirp(chirp, forwarder, self.now)
-        if isinstance(action, Forward):
-            out = Frame(
-                sender=receiver.id,
-                link_dest=None,
-                kind="chirp",
-                payload=encode_chirp(action.chirp),
-                size=CHIRP_SIZE + self.sc.header_overhead,
-            )
-            delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
-            self._schedule(self.now + delay, lambda: self.enqueue(receiver, out))
+    def _forward_chirp(self, node: _Node, chirp: Chirp) -> None:
+        """Re-broadcast `chirp` from `node` after a random jitter."""
+        out = Frame(
+            sender=node.id,
+            link_dest=None,
+            kind="chirp",
+            payload=encode_chirp(chirp),
+            size=CHIRP_SIZE + self.sc.header_overhead,
+        )
+        delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
+        self._schedule(self.now + delay, partial(self.enqueue, node, out))
 
     # -- accounting ---------------------------------------------------------------
 

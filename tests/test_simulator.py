@@ -5,12 +5,18 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrot_net.channel import budget_for_radius, compute_r_tx
 from parrot_net.errors import ConfigError
-from parrot_net.kinematics import MobilityConfig, Vec3
+from parrot_net.kinematics import (
+    MobilityConfig,
+    Vec3,
+    make_random_waypoint_state,
+    predict_position,
+    step_random_waypoint,
+)
 from parrot_net.simulator import (
     DROP_CAUSES,
     PROTOCOLS,
@@ -101,6 +107,19 @@ class TestRunBasics:
             run(Scenario(duration=0.0))
         with pytest.raises(ConfigError):
             run(Scenario(protocol="mystery"))
+
+    @pytest.mark.parametrize("name, bad, edge", [
+        ("forward_jitter", -0.01, 0.0),
+        ("header_overhead", -2000, 0),
+        ("retry_backoff", -1e-3, 0.0),
+        ("queue_limit", 0, 1),
+        ("retry_limit", -1, 0),
+    ])
+    def test_field_that_would_run_time_backwards_rejected(self, name, bad, edge):
+        # A negative delay fires an event before the one that scheduled it.
+        with pytest.raises(ConfigError, match=name):
+            Scenario(**{name: bad}).validate()
+        Scenario(**{name: edge}).validate()
 
     @pytest.mark.parametrize("overrides", [
         {"speed": math.nan},
@@ -443,3 +462,46 @@ class TestRunInvariants:
             table = node.routing.table
             for dest in table.destinations():
                 assert all(q <= gamma0 for q in table.row(dest).values())
+
+
+class TestMotionTable:
+    """The motion table of a run against a public replay of each node with
+    `step_random_waypoint`, bit for bit.  Boxes a few r_w wide make waypoint
+    queues run out inside the run or its look-ahead, where self-prediction
+    falls back to the slope of the position history; the first example
+    runs out inside the run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.one_of(st.floats(1.5, 4.0), st.floats(4.0, 40.0)),
+        speed=st.one_of(st.just(0.0), st.floats(0.5, 40.0)),
+        dt=st.floats(0.05, 0.5),
+        r_w=st.floats(1.0, 20.0),
+        tau=st.floats(0.0, 3.0),
+        duration=st.floats(0.5, 4.0),
+        seed=st.integers(0, 2**31),
+    )
+    @example(width=3.0, speed=30.0, dt=0.1, r_w=10.0, tau=2.5, duration=4.0, seed=1)
+    @example(width=4.0, speed=40.0, dt=0.2, r_w=2.0, tau=3.0, duration=4.0, seed=7)
+    def test_trace_and_self_prediction_equal_replay(self, width, speed, dt, r_w, tau,
+                                                     duration, seed):
+        box = Vec3(width * r_w, width * r_w, width * r_w / 2)
+        cfg = MobilityConfig(dt=dt, tau=tau, r_w=r_w)
+        sc = Scenario(
+            nodes=3, box=box, speed=speed, duration=duration, warmup=0.0,
+            cbr_rate=56.0, mobility=cfg, seed=seed,
+        )
+        sim = Simulation(sc)
+        sim.run()
+        trace = sim.trace
+        for i, node in enumerate(sim.nodes):
+            state = make_random_waypoint_state(
+                box, speed, duration, Random(stable_seed(seed, "mobility", i)), cfg,
+            )
+            replay = [state.position]
+            for _ in range(len(trace) - 1):
+                state = step_random_waypoint(state, cfg)
+                replay.append(state.position)
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+            assert repr([positions[i] for _, positions in trace]) == repr(replay)
+            assert repr(node.routing.self_prediction) == repr(predict_position(state, cfg))
