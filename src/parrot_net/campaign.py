@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from random import Random
+from typing import Callable
 
 from .channel import budget_for_radius
-from .errors import ConfigError
+from .errors import ConfigError, require, within
 from .kinematics import (
     MobilityConfig,
     Vec3,
@@ -24,7 +27,6 @@ from .kinematics import (
     prediction_error,
     step_random_waypoint,
 )
-from .routing import RoutingParams
 from .simulator import DROP_CAUSES, RunMetrics, Scenario, run, stable_seed
 
 # Columns are frozen; emit_csv and its golden-header test depend on the order.
@@ -47,6 +49,8 @@ CSV_COLUMNS = (
 
 SWEEPABLE = ("alpha", "gamma0", "tau", "nodes", "speed_kmh")
 
+_KMH_PER_MPS = 3.6
+
 
 @dataclass
 class CampaignConfig:
@@ -59,19 +63,15 @@ class CampaignConfig:
     trace: bool = False
 
     def validate(self) -> None:
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.sweep not in SWEEPABLE:
-            raise ConfigError(f"unknown sweep parameter '{self.sweep}'")
-        if not self.sweep_values:
-            raise ConfigError("sweep_values must not be empty")
+        require(self.runs >= 1, "runs", self.runs, "be >= 1")
+        require(self.sweep in SWEEPABLE, "sweep", self.sweep, f"be one of {SWEEPABLE}")
+        require(bool(self.sweep_values), "sweep_values", self.sweep_values, "not be empty")
         for value in self.sweep_values:
             try:
                 apply_sweep(self.scenario, self.sweep, value).validate()
             except ValueError as exc:
-                raise ConfigError(
-                    f"bad value {value:g} in sweep_values for '{self.sweep}': {exc}"
-                ) from None
+                raise ConfigError(f"sweep_values {value:g} for sweep '{self.sweep}': {exc}",
+                                  "sweep_values", "sweep") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -94,66 +94,53 @@ def _parse_values(text: str) -> list[float]:
     return [_parse_float(part) for part in text.split(",") if part.strip()]
 
 
-def _in(lo, hi, lo_open=False, hi_open=False):
-    def check(x):
-        ok = (x > lo if lo_open else x >= lo) and (x < hi if hi_open else x <= hi)
-        if not ok:
-            left = "(" if lo_open else "["
-            right = ")" if hi_open else "]"
-            raise ValueError(f"{x} out of {left}{lo}, {hi}{right}")
-    return check
-
-
-def _choice(*options):
-    def check(x):
-        if x not in options:
-            raise ValueError(f"{x!r} not one of {options}")
-    return check
-
-
-_INF = math.inf
-
-# key -> (parser, default, constraint) — defaults reproduce the evaluated
-# configuration.
-_KEYS: dict[str, tuple] = {
-    "nodes": (int, 10, _in(2, _INF)),
-    "box_x": (_parse_float, 500.0, _in(0, _INF, lo_open=True)),
-    "box_y": (_parse_float, 500.0, _in(0, _INF, lo_open=True)),
-    "box_z": (_parse_float, 250.0, _in(0, _INF, lo_open=True)),
-    "speed_kmh": (_parse_float, 50.0, _in(0, _INF)),
-    "duration": (_parse_float, 900.0, _in(0, _INF, lo_open=True)),
-    "warmup": (_parse_float, 30.0, _in(0, _INF)),
-    "bitrate": (_parse_float, 2e6, _in(0, _INF, lo_open=True)),
-    "payload": (int, 1400, _in(1, _INF)),
-    "protocol": (str, "parrot", _choice("parrot", "greedy", "flood")),
-    "channel": (str, "rural", _choice("rural", "urban")),
-    "alpha": (_parse_float, 0.5, _in(0, 1, lo_open=True)),
-    "gamma0": (_parse_float, 0.8, _in(0, 1, lo_open=True)),
-    "tau": (_parse_float, 2.5, _in(0, _INF)),
-    "chirp_interval": (_parse_float, 0.5, _in(0, _INF, lo_open=True)),
-    "dt": (_parse_float, 0.1, _in(0, _INF, lo_open=True)),
-    "r_w": (_parse_float, 10.0, _in(0, _INF, lo_open=True)),
-    "history": (int, 5, _in(2, _INF)),
-    "neighbor_timeout": (_parse_float, 1.5, _in(0, _INF, lo_open=True)),
-    "entry_timeout": (_parse_float, 3.0, _in(0, _INF, lo_open=True)),
-    "cohesion_window": (_parse_float, 0.5, _in(0, _INF, lo_open=True)),
-    "initial_ttl": (int, 16, _in(1, 65535)),
-    "r_tx": (_parse_float, 150.0, _in(0, _INF, lo_open=True)),
-    "tx_power_dbm": (_parse_float, 20.0, None),
-    "frequency_hz": (_parse_float, 2.4e9, _in(0, _INF, lo_open=True)),
-    "pathloss_exponent": (_parse_float, 2.75, _in(0, _INF, lo_open=True)),
-    "nakagami_m": (_parse_float, 2.0, _in(0.5, _INF)),
-    "link_rate": (_parse_float, 24e6, _in(0, _INF, lo_open=True)),
-    "hop_budget": (int, 32, _in(1, _INF)),
-    "queue_limit": (int, 100, _in(1, _INF)),
-    "forward_jitter": (_parse_float, 5e-3, _in(0, _INF)),
-    "seed": (int, 1, None),
-    "runs": (int, 25, _in(1, _INF)),
-    "sweep": (str, "alpha", _choice(*SWEEPABLE)),
-    "sweep_values": (_parse_values, None, None),
-    "out": (str, ".", None),
-    "trace": (_parse_bool, False, None),
+# key -> (parser, the field it sets).  Fields are named from the Scenario
+# ("routing.alpha") or, for the campaign's own keys, from the
+# CampaignConfig ("runs").  The link-budget keys set the arguments of
+# `budget_for_radius` ("budget.r_tx"), `speed_kmh` sets `speed` in m/s and
+# `seed` also sets the campaign's base seed.  A key that is not given leaves
+# its field at the dataclass default; the dataclasses check every range.
+_KEYS: dict[str, tuple[Callable[[str], object], str]] = {
+    "nodes": (int, "nodes"),
+    "box_x": (_parse_float, "box.x"),
+    "box_y": (_parse_float, "box.y"),
+    "box_z": (_parse_float, "box.z"),
+    "speed_kmh": (_parse_float, "speed"),
+    "duration": (_parse_float, "duration"),
+    "warmup": (_parse_float, "warmup"),
+    "bitrate": (_parse_float, "cbr_rate"),
+    "payload": (int, "payload"),
+    "protocol": (str, "protocol"),
+    "channel": (str, "channel"),
+    "alpha": (_parse_float, "routing.alpha"),
+    "gamma0": (_parse_float, "routing.gamma0"),
+    "tau": (_parse_float, "mobility.tau"),
+    "chirp_interval": (_parse_float, "routing.chirp_interval"),
+    "dt": (_parse_float, "mobility.dt"),
+    "r_w": (_parse_float, "mobility.r_w"),
+    "history": (int, "mobility.h"),
+    "neighbor_timeout": (_parse_float, "routing.neighbor_timeout"),
+    "entry_timeout": (_parse_float, "routing.entry_timeout"),
+    "cohesion_window": (_parse_float, "routing.cohesion_window"),
+    "initial_ttl": (int, "routing.initial_ttl"),
+    "r_tx": (_parse_float, "budget.r_tx"),
+    "tx_power_dbm": (_parse_float, "budget.tx_power_dbm"),
+    "frequency_hz": (_parse_float, "budget.frequency_hz"),
+    "pathloss_exponent": (_parse_float, "budget.path_loss_exponent"),
+    "nakagami_m": (_parse_float, "budget.nakagami_m"),
+    "link_rate": (_parse_float, "link_rate"),
+    "hop_budget": (int, "hop_budget"),
+    "queue_limit": (int, "queue_limit"),
+    "forward_jitter": (_parse_float, "forward_jitter"),
+    "seed": (int, "seed"),
+    "runs": (int, "runs"),
+    "sweep": (str, "sweep"),
+    "sweep_values": (_parse_values, "sweep_values"),
+    "out": (str, "out_dir"),
+    "trace": (_parse_bool, "trace"),
 }
+
+_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace")
 
 
 def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
@@ -174,8 +161,8 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
     """Build a CampaignConfig from a key = value file plus override pairs.
 
     Overrides ("key=value" strings, e.g. from repeated --set flags) win over
-    file entries.  Unknown keys and malformed values are rejected with a
-    diagnostic naming the key and its origin.
+    file entries.  Every error names the keys it is about and where each
+    was set: a file line, `--set #i`, or `default`.
     """
     entries: list[tuple[str, str, str]] = []
     if path is not None:
@@ -186,85 +173,59 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
         key, value = pair.split("=", 1)
         entries.append((key.strip(), value.strip(), f"--set #{i}"))
 
-    values = {key: spec[1] for key, spec in _KEYS.items()}
+    values: dict[str, object] = {}
+    origins: dict[str, str] = {}
     for key, text, where in entries:
         if key not in _KEYS:
             raise ConfigError(f"{where}: unknown key '{key}'")
-        parser, _, constraint = _KEYS[key]
         try:
-            parsed = parser(text)
-            if constraint is not None:
-                constraint(parsed)
+            values[key] = _KEYS[key][0](text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{where}: bad value for '{key}': {exc}") from None
-        values[key] = parsed
+        origins[key] = where
 
     try:
-        scenario = _build_scenario(values)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-
-    sweep_values = values["sweep_values"]
-    if sweep_values is None:
-        sweep_values = [_current_sweep_value(values, values["sweep"])]
-    cfg = CampaignConfig(
-        scenario=scenario,
-        sweep=values["sweep"],
-        sweep_values=sweep_values,
-        runs=values["runs"],
-        base_seed=values["seed"],
-        out_dir=values["out"],
-        trace=values["trace"],
-    )
-    cfg.validate()
+        cfg = _build_campaign(values)
+        cfg.scenario.validate()
+        cfg.validate()
+    except ConfigError as exc:
+        keys = [key for f in exc.fields for key, (_, path) in _KEYS.items()
+                if path == f or path.startswith(f + ".")]
+        located = ", ".join(f"{origins.get(key, 'default')} '{key}'" for key in keys)
+        raise ConfigError(f"{located}: {exc}", *exc.fields) from None
     return cfg
 
 
-def _current_sweep_value(values: dict, sweep: str) -> float:
-    if sweep not in SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter '{sweep}'")
-    return float(values[sweep])
-
-
-def _build_scenario(v: dict) -> Scenario:
-    mobility = MobilityConfig(dt=v["dt"], tau=v["tau"], r_w=v["r_w"], h=v["history"])
-    routing = RoutingParams(
-        alpha=v["alpha"],
-        gamma0=v["gamma0"],
-        chirp_interval=v["chirp_interval"],
-        neighbor_timeout=v["neighbor_timeout"],
-        entry_timeout=v["entry_timeout"],
-        cohesion_window=v["cohesion_window"],
-        initial_ttl=v["initial_ttl"],
+def _build_campaign(values: dict[str, object]) -> CampaignConfig:
+    """The campaign that the parsed keys in `values` set, every other field
+    at its default."""
+    parts: defaultdict[str, dict[str, object]] = defaultdict(dict)
+    for key, value in values.items():
+        part, _, name = _KEYS[key][1].rpartition(".")
+        parts[part][name] = value
+    top = parts[""]
+    campaign = {name: top.pop(name) for name in _CAMPAIGN_FIELDS if name in top}
+    if "speed" in top:
+        top["speed"] = top["speed"] / _KMH_PER_MPS
+    base = Scenario()
+    with within("mobility."):
+        mobility = replace(base.mobility, **parts["mobility"])
+    with within("budget."):
+        budget = budget_for_radius(**parts["budget"]) if parts["budget"] else base.budget
+    scenario = replace(
+        base, **top, box=replace(base.box, **parts["box"]), mobility=mobility,
+        routing=replace(base.routing, **parts["routing"]), budget=budget,
     )
-    budget = budget_for_radius(
-        v["r_tx"],
-        tx_power_dbm=v["tx_power_dbm"],
-        frequency_hz=v["frequency_hz"],
-        path_loss_exponent=v["pathloss_exponent"],
-        nakagami_m=v["nakagami_m"],
-    )
-    scenario = Scenario(
-        nodes=v["nodes"],
-        box=Vec3(v["box_x"], v["box_y"], v["box_z"]),
-        speed=v["speed_kmh"] / 3.6,
-        duration=v["duration"],
-        warmup=v["warmup"],
-        cbr_rate=v["bitrate"],
-        payload=v["payload"],
-        protocol=v["protocol"],
-        channel=v["channel"],
-        mobility=mobility,
-        routing=routing,
-        budget=budget,
-        seed=v["seed"],
-        link_rate=v["link_rate"],
-        hop_budget=v["hop_budget"],
-        queue_limit=v["queue_limit"],
-        forward_jitter=v["forward_jitter"],
-    )
-    scenario.validate()
-    return scenario
+    cfg = CampaignConfig(scenario, base_seed=scenario.seed, **campaign)
+    if "sweep_values" not in values and cfg.sweep in SWEEPABLE:
+        # One point at the swept key's value, in the key's unit.
+        current = values.get(cfg.sweep)
+        if current is None:
+            current = attrgetter(_KEYS[cfg.sweep][1])(scenario)
+            if cfg.sweep == "speed_kmh":
+                current *= _KMH_PER_MPS
+        cfg.sweep_values = [float(current)]
+    return cfg
 
 
 def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
@@ -274,11 +235,12 @@ def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
     if param == "gamma0":
         return replace(scenario, routing=replace(scenario.routing, gamma0=value))
     if param == "tau":
-        return replace(scenario, mobility=replace(scenario.mobility, tau=value))
+        with within("mobility."):
+            return replace(scenario, mobility=replace(scenario.mobility, tau=value))
     if param == "nodes":
         return replace(scenario, nodes=int(value))
     if param == "speed_kmh":
-        return replace(scenario, speed=value / 3.6)
+        return replace(scenario, speed=value / _KMH_PER_MPS)
     raise ConfigError(f"unknown sweep parameter '{param}'")
 
 

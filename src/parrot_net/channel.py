@@ -18,13 +18,16 @@ from functools import lru_cache, partial
 from random import Random
 from typing import Callable
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require, require_finite
 
 _LIGHT_SPEED = 299_792_458.0
 
 RURAL = "rural"
 URBAN = "urban"
 CHANNEL_MODELS = (RURAL, URBAN)
+
+# Radius of the default budget: 150 m in the 500 m reference scenario.
+DEFAULT_R_TX = 150.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,14 +41,15 @@ class LinkBudget:
 
     def validate(self) -> None:
         require_finite(self)
-        if self.path_loss_exponent <= 0:
-            raise ConfigError("path loss exponent must be > 0")
-        if self.d0 <= 0:
-            raise ConfigError("reference distance d0 must be > 0")
-        if self.frequency_hz <= 0:
-            raise ConfigError("carrier frequency must be > 0")
-        if self.nakagami_m < 0.5:
-            raise ConfigError("nakagami_m must be >= 0.5")
+        require(self.path_loss_exponent > 0, "path_loss_exponent", self.path_loss_exponent,
+                "be > 0")
+        require(self.d0 > 0, "d0", self.d0, "be > 0")
+        require(self.frequency_hz > 0, "frequency_hz", self.frequency_hz, "be > 0")
+        # reference_loss_db takes the log of this ratio.
+        ratio = 4.0 * math.pi * self.d0 * self.frequency_hz / _LIGHT_SPEED
+        require(0.0 < ratio < math.inf, "frequency_hz", self.frequency_hz,
+                f"give a finite loss at d0 {self.d0!r}", "d0")
+        require(self.nakagami_m >= 0.5, "nakagami_m", self.nakagami_m, "be >= 0.5")
 
 
 @lru_cache(maxsize=64)
@@ -89,7 +93,7 @@ def compute_r_tx(budget: LinkBudget) -> float:
 
 
 def budget_for_radius(
-    r_tx: float,
+    r_tx: float = DEFAULT_R_TX,
     tx_power_dbm: float = 20.0,
     frequency_hz: float = 2.4e9,
     path_loss_exponent: float = 2.75,
@@ -97,17 +101,20 @@ def budget_for_radius(
     nakagami_m: float = 2.0,
 ) -> LinkBudget:
     """Build a budget whose sensitivity yields exactly the requested radius."""
-    if r_tx <= d0:
-        raise ConfigError(f"r_tx {r_tx} must exceed d0 {d0}")
+    require(r_tx > d0, "r_tx", r_tx, f"exceed d0 {d0!r}", "d0")
     probe = LinkBudget(tx_power_dbm, frequency_hz, path_loss_exponent, d0, 0.0, nakagami_m)
     probe.validate()
     sensitivity = mean_rx_power(probe, r_tx)
+    # A loss that rounds away at d0 leaves compute_r_tx no margin to invert.
+    require(-math.inf < sensitivity < mean_rx_power(probe, d0), "r_tx", r_tx,
+            f"lose a finite power against d0 under path_loss_exponent "
+            f"{path_loss_exponent!r}", "path_loss_exponent")
     return LinkBudget(tx_power_dbm, frequency_hz, path_loss_exponent, d0, sensitivity, nakagami_m)
 
 
 def default_budget() -> LinkBudget:
-    """Default link budget: 150 m radius in the 500 m reference scenario."""
-    return budget_for_radius(150.0)
+    """Default link budget, of radius `DEFAULT_R_TX`."""
+    return budget_for_radius()
 
 
 def nakagami_gain(m: float, rng: Random) -> float:

@@ -11,6 +11,8 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from random import Random
 
+from .errors import require, require_finite
+
 
 def slot_init(cls: type) -> type:
     """Give a frozen slotted dataclass a cheaper `__init__`.
@@ -102,18 +104,11 @@ class MobilityConfig:
     h: int = 5
 
     def __post_init__(self) -> None:
-        for name in ("dt", "tau", "r_w"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.r_w <= 0:
-            raise ValueError(f"r_w must be > 0, got {self.r_w}")
-        if self.h < 2:
-            raise ValueError(f"h must be >= 2, got {self.h}")
+        require_finite(self)
+        require(self.dt > 0, "dt", self.dt, "be > 0")
+        require(self.tau >= 0, "tau", self.tau, "be >= 0")
+        require(self.r_w > 0, "r_w", self.r_w, "be > 0")
+        require(self.h >= 2, "h", self.h, "be >= 2")
 
 
 @slot_init
@@ -259,10 +254,15 @@ def make_random_waypoint_state(
     Waypoints are uniform in the box, drawn until their gaps less r_w per
     leg cover speed * duration + 2 r_w.  A leg's path can be nearly its full
     gap, so the queue can run out before `duration`.  From then on the node
-    stops, and self-prediction falls back to the slope predictor.
+    stops, and self-prediction falls back to the slope predictor.  A box
+    whose diagonal is at most r_w is refused: no two of its points lie more
+    than r_w apart, so no leg would count and the draw would never end.
     """
-    if bounds.x <= 0 or bounds.y <= 0 or bounds.z <= 0:
-        raise ValueError(f"bounds must be positive in all dimensions, got {bounds}")
+    if not (bounds.x > 0 and bounds.y > 0 and bounds.z > 0) or bounds.norm() <= cfg.r_w:
+        raise ValueError(
+            f"bounds must be positive in all dimensions with a diagonal above "
+            f"r_w {cfg.r_w}, got {bounds}"
+        )
     spawn = _uniform_point(bounds, rng)
     need = speed * duration + 2.0 * cfg.r_w
     waypoints: list[Vec3] = []

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .chirp import _SEQ_HALF, _SEQ_MOD, Chirp
-from .errors import ConfigError, require_finite
+from .errors import require, require_finite
 from .kinematics import Vec3, slot_init
 
 # Q values at or below this level are treated as "no route".
@@ -62,19 +62,14 @@ class RoutingParams:
 
     def validate(self) -> None:
         require_finite(self)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha {self.alpha} outside (0, 1]")
+        require(0.0 < self.alpha <= 1.0, "alpha", self.alpha, "lie in (0, 1]")
         # gamma0 == 1 is allowed for the loop-freedom degradation experiment.
-        if not 0.0 < self.gamma0 <= 1.0:
-            raise ConfigError(f"gamma0 {self.gamma0} outside (0, 1]")
-        if self.chirp_interval <= 0.0:
-            raise ConfigError("chirp_interval must be > 0")
-        if self.neighbor_timeout <= 0.0 or self.entry_timeout <= 0.0:
-            raise ConfigError("timeouts must be > 0")
-        if self.cohesion_window <= 0.0:
-            raise ConfigError("cohesion_window must be > 0")
-        if not 1 <= self.initial_ttl < (1 << 16):
-            raise ConfigError(f"initial_ttl {self.initial_ttl} out of range")
+        require(0.0 < self.gamma0 <= 1.0, "gamma0", self.gamma0, "lie in (0, 1]")
+        for name in ("chirp_interval", "neighbor_timeout", "entry_timeout", "cohesion_window"):
+            require(getattr(self, name) > 0.0, name, getattr(self, name), "be > 0")
+        # The chirp carries the TTL in 16 bits.
+        require(1 <= self.initial_ttl < (1 << 16), "initial_ttl", self.initial_ttl,
+                "lie in [1, 65535]")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from . import channel as radio
 from .channel import LinkBudget, default_budget
 from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
-from .errors import ConfigError, require_finite
+from .errors import require, require_finite, within
 from .kinematics import (
     KinematicState,
     MobilityConfig,
@@ -92,39 +92,35 @@ class Scenario:
     trace_path: str | None = None
 
     def validate(self) -> None:
-        for prefix, part in (("", self), ("box.", self.box),
-                             ("routing.", self.routing), ("budget.", self.budget)):
-            require_finite(part, prefix)
-        if self.nodes < 2:
-            raise ConfigError(f"need at least 2 nodes, got {self.nodes}")
-        if self.duration <= 0:
-            raise ConfigError("duration must be > 0")
-        if not 0 <= self.warmup < self.duration:
-            raise ConfigError("warmup must lie inside the run duration")
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol '{self.protocol}'")
-        if self.channel not in radio.CHANNEL_MODELS:
-            raise ConfigError(f"unknown channel '{self.channel}'")
-        if self.cbr_rate <= 0 or self.payload <= 0:
-            raise ConfigError("traffic rate and payload must be > 0")
-        if self.link_rate <= 0:
-            raise ConfigError("link rate must be > 0")
-        if self.speed < 0:
-            raise ConfigError("speed must be >= 0")
-        if self.hop_budget < 1:
-            raise ConfigError("hop budget must be >= 1")
-        # Each of these delays an event; a negative one would fire it
-        # before the event that scheduled it.
-        for name in ("header_overhead", "retry_backoff", "forward_jitter"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.queue_limit < 1:
-            raise ConfigError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.retry_limit < 0:
-            raise ConfigError(f"retry_limit must be >= 0, got {self.retry_limit}")
-        self.routing.validate()
-        self.budget.validate()
+        require_finite(self)
+        require_finite(self.box, "box.")
+        require(self.nodes >= 2, "nodes", self.nodes, "be >= 2")
+        for name in ("x", "y", "z"):
+            require(getattr(self.box, name) > 0, f"box.{name}", getattr(self.box, name), "be > 0")
+        # No two points of a box that fits inside r_w lie farther apart
+        # than r_w, so its waypoints never count as travel.
+        r_w = self.mobility.r_w
+        require(self.box.norm() > r_w, "box", self.box,
+                f"have a diagonal above mobility.r_w {r_w!r}", "mobility.r_w")
+        require(self.duration > 0, "duration", self.duration, "be > 0")
+        require(0 <= self.warmup < self.duration, "warmup", self.warmup,
+                f"lie in [0, duration {self.duration!r})", "duration")
+        require(self.protocol in PROTOCOLS, "protocol", self.protocol, f"be one of {PROTOCOLS}")
+        require(self.channel in radio.CHANNEL_MODELS, "channel", self.channel,
+                f"be one of {radio.CHANNEL_MODELS}")
+        for name in ("cbr_rate", "payload", "link_rate"):
+            require(getattr(self, name) > 0, name, getattr(self, name), "be > 0")
+        for name in ("hop_budget", "queue_limit"):
+            require(getattr(self, name) >= 1, name, getattr(self, name), "be >= 1")
+        # Each of the last three delays an event; a negative one would fire
+        # it before the event that scheduled it.
+        for name in ("speed", "retry_limit", "header_overhead", "retry_backoff",
+                     "forward_jitter"):
+            require(getattr(self, name) >= 0, name, getattr(self, name), "be >= 0")
+        with within("routing."):
+            self.routing.validate()
+        with within("budget."):
+            self.budget.validate()
 
 
 @slot_init
@@ -155,18 +151,6 @@ class Frame:
     size: int  # bytes incl. header overhead
     attempts: int = 0
     fading: list[float] | None = None
-
-
-class _Reception:
-    """One node's reception of one transmission.  It compares by identity,
-    so removing it from a node's `inflight` list compares no frames."""
-
-    __slots__ = ("frame", "node", "corrupted")
-
-    def __init__(self, frame: Frame, node: "_Node"):
-        self.frame = frame
-        self.node = node
-        self.corrupted = False
 
 
 @dataclass
@@ -209,7 +193,11 @@ class _Node:
         self.routing = routing
         self.queue: deque[Frame] = deque()
         self.transmitting: Frame | None = None
-        self.inflight: list[_Reception] = []
+        # Receptions on the air here, and the one frame among them still
+        # heard cleanly, if any: two overlapping receptions corrupt each
+        # other, and so does sending while receiving.
+        self.busy = 0
+        self.clean: Frame | None = None
         self.seen_flood: set[int] = set()
 
 
@@ -597,19 +585,13 @@ class Simulation:
         if frame.kind == "chirp":
             self.chirp_frames += 1
         # Half duplex: starting to talk corrupts anything being received here.
-        for rec in node.inflight:
-            rec.corrupted = True
-        receptions: list[_Reception] = []
-        for other in self.hears(frame):
-            rec = _Reception(frame, other)
-            if other.transmitting is not None or other.inflight:
-                for ongoing in other.inflight:
-                    ongoing.corrupted = True
-                rec.corrupted = True
-            other.inflight.append(rec)
-            receptions.append(rec)
+        node.clean = None
+        receivers = self.hears(frame)
+        for other in receivers:
+            other.clean = None if other.transmitting is not None or other.busy else frame
+            other.busy += 1
         airtime = frame.size * 8 / self.sc.link_rate
-        self._schedule(self.now + airtime, partial(self._tx_end, node, frame, receptions))
+        self._schedule(self.now + airtime, partial(self._tx_end, node, frame, receivers))
 
     def _link_row(self, sender: _Node) -> list:
         """The links of `sender` at the current tick, built on its first
@@ -665,26 +647,21 @@ class Simulation:
             if power + db >= sensitivity
         ]
 
-    def _tx_end(self, node: _Node, frame: Frame, receptions: list[_Reception]) -> None:
+    def _tx_end(self, node: _Node, frame: Frame, receivers: list[_Node]) -> None:
         node.transmitting = None
         # Finalize the whole transmission before dispatching deliveries: a
         # delivery may start a new transmission at this same instant, which
-        # must not retroactively corrupt receptions that already ended.
-        target_rec = None
-        any_clean = False
-        any_corrupt = False
-        for rec in receptions:
-            rec.node.inflight.remove(rec)
-            if frame.link_dest is not None and rec.node.id == frame.link_dest:
-                target_rec = rec
-            if rec.corrupted:
-                any_corrupt = True
-            else:
-                any_clean = True
-        clean = [
-            rec.node for rec in receptions
-            if not rec.corrupted and (frame.link_dest is None or rec.node.id == frame.link_dest)
-        ]
+        # must not retroactively corrupt receptions that already ended.  A
+        # frame is never on the air twice at once (a retry is queued after
+        # this), so `clean is frame` identifies this reception.
+        heard = []
+        for other in receivers:
+            other.busy -= 1
+            if other.clean is frame:
+                other.clean = None
+                heard.append(other)
+        dest = frame.link_dest
+        clean = heard if dest is None else [other for other in heard if other.id == dest]
         if frame.kind == "chirp":
             if clean:
                 chirp = decode_chirp(frame.payload)
@@ -699,21 +676,24 @@ class Simulation:
                 self.packets[pkt.pid].copies += len(clean) - 1
             for receiver in clean:
                 self._deliver_data(receiver, pkt)
-            if frame.link_dest is not None:
-                if target_rec is None or target_rec.corrupted:
-                    self._retry_or_drop(node, frame, target_rec)
-            elif not any_clean:
+            if dest is not None:
+                if not clean:
+                    # A target that heard the frame corrupted lost it to a
+                    # collision.
+                    heard_corrupted = any(other.id == dest for other in receivers)
+                    self._retry_or_drop(node, frame,
+                                        DROP_COLLISION if heard_corrupted else DROP_CHANNEL)
+            elif not clean:
                 # A flood branch that nobody heard cleanly dies here.
-                self._note_fail(pkt, DROP_COLLISION if any_corrupt else DROP_CHANNEL)
+                self._note_fail(pkt, DROP_COLLISION if receivers else DROP_CHANNEL)
         self._kick(node)
 
-    def _retry_or_drop(self, node: _Node, frame: Frame, target_rec: _Reception | None) -> None:
+    def _retry_or_drop(self, node: _Node, frame: Frame, cause: str) -> None:
         frame.attempts += 1
         if frame.attempts <= self.sc.retry_limit:
             self._schedule(self.now + self.sc.retry_backoff,
                            partial(self._requeue_front, node, frame))
             return
-        cause = DROP_COLLISION if target_rec is not None else DROP_CHANNEL
         self._note_fail(frame.payload, cause)
 
     # -- reception --------------------------------------------------------------

@@ -1,23 +1,56 @@
-"""The benchmark's tracer wraps library names in place; each must exist.
+"""The benchmark's traced pass must keep working on the library.
 
 `perfbench/tracer.py` replaces `owner.__dict__[name]` for every entry of
 `HOOKS`, so a name the library no longer binds there raises `KeyError` in
-`Tracer.install` and stops every traced benchmark pass.  The module is
-compiled from its source and nothing is installed, so this writes nothing.
+`Tracer.install` and stops every traced benchmark pass.  A traced pass also
+breaks when a campaign's runs leave the process that installed the tracer:
+its per-layer figures then divide by a zero `routing.handle_chirp` count.
+The benchmark modules are compiled from their sources; nothing under
+`perfbench/` is written.
 """
 
 import types
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from parrot_net import campaign
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def test_every_hooked_name_is_bound_where_it_is_hooked():
-    tracer = types.ModuleType("tracer")
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), tracer.__dict__)
+    tracer = load("tracer")
     missing = [
         f"{key}: {getattr(owner, '__name__', owner)}.{name}"
         for key, owner, name, _ in tracer.HOOKS
         if name not in owner.__dict__
     ]
     assert tracer.HOOKS and not missing
+
+
+def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
+    tracer_module, checks = load("tracer"), load("checks")
+    cfg = campaign.parse_config(None, [
+        "protocol=parrot", "channel=urban", "nodes=3", "duration=2", "warmup=0.5",
+        "bitrate=112000", "runs=1",
+    ])
+    csv_path = tmp_path / "r.csv"
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        # Through the module, as perfbench/worker.py calls them.
+        results = campaign.run_campaign(cfg)
+        campaign.emit_csv(results, str(csv_path))
+    finally:
+        tracer.uninstall()
+    chirp_frames = sum(m.chirp_frames for point in results for m in point.metrics)
+    layers = tracer.layer_metrics(chirp_frames)
+    assert layers["routing.handle_chirp.calls"] > 0
+    checks.check_arm(cfg, results, csv_path.read_text(encoding="utf-8"), "tiny",
+                     bound_check=True)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from parrot_net import cli
 from parrot_net.campaign import (
     CSV_COLUMNS,
+    SWEEPABLE,
     CampaignConfig,
     aggregate_point,
     apply_sweep,
@@ -25,6 +27,12 @@ from parrot_net.campaign import (
     run_campaign,
 )
 from parrot_net.errors import ConfigError
+from parrot_net.simulator import Scenario, run
+
+# A 5 m cube: its diagonal, 8.7 m, is below the default r_w of 10 m.
+FIVE_METRE_BOX = [
+    "box_x=5", "box_y=5", "box_z=5", "nodes=2", "duration=1", "warmup=0.5", "runs=1",
+]
 
 TINY = [
     "nodes=4", "box_x=200", "box_y=200", "box_z=100",
@@ -49,6 +57,11 @@ class TestParseConfig:
         assert (sc.box.x, sc.box.y, sc.box.z) == (500.0, 500.0, 250.0)
         assert cfg.runs == 25
 
+    def test_no_keys_build_the_dataclass_defaults(self):
+        cfg = parse_config(None, [])
+        assert cfg.scenario == Scenario()
+        assert cfg == CampaignConfig(Scenario(), sweep_values=[0.5])
+
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("alpha = 0.5\nnodes = 6\n")
@@ -64,6 +77,36 @@ class TestParseConfig:
         message = str(err.value)
         assert "alpha" in message
         assert ":2" in message  # line number
+
+    @pytest.mark.parametrize("overrides, located", [
+        (["warmup=900"], ["--set #1 'warmup'", "default 'duration'", "duration 900.0"]),
+        (["r_tx=0.5"], ["--set #1 'r_tx'", "budget.r_tx 0.5 must exceed d0"]),
+        (["box_x=0"], ["--set #1 'box_x'", "box.x 0.0 must be > 0"]),
+        (["dt=0"], ["--set #1 'dt'", "mobility.dt 0.0 must be > 0"]),
+        (["alpha=2"], ["--set #1 'alpha'", "routing.alpha 2.0 must lie in (0, 1]"]),
+        (["alpha=0.7", "entry_timeout=-1"],
+         ["--set #2 'entry_timeout'", "routing.entry_timeout -1.0 must be > 0"]),
+        (["sweep=tau", "sweep_values=-1"],
+         ["--set #2 'sweep_values'", "--set #1 'sweep'", "mobility.tau -1.0 must be >= 0"]),
+        (FIVE_METRE_BOX, ["--set #1 'box_x'", "--set #2 'box_y'", "--set #3 'box_z'",
+                          "default 'r_w'", "mobility.r_w 10.0"]),
+    ])
+    def test_error_names_its_keys_and_their_origins(self, overrides, located):
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, overrides)
+        for part in located:
+            assert part in str(err.value)
+
+    def test_box_no_wider_than_r_w_rejected(self, tmp_path):
+        # Its waypoint draw would never end; the run used to hang.
+        with pytest.raises(ConfigError):
+            parse_config(None, FIVE_METRE_BOX)
+        path = tmp_path / "c.cfg"
+        path.write_text("r_w = 9\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path), FIVE_METRE_BOX)
+        assert f"{path}:1 'r_w'" in str(err.value)
+        parse_config(str(path), FIVE_METRE_BOX + ["r_w=8"])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -97,6 +140,103 @@ class TestParseConfig:
         for value in cfg.sweep_values:
             sc = apply_sweep(cfg.scenario, "tau", value)
             assert sc.mobility.tau == value
+
+
+def _floats(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+# Values straddle each key's range.  What bounds them otherwise is only what
+# a run of 3 nodes and 1 s costs: its ticks (dt), chirps (chirp_interval),
+# packets (bitrate) and waypoint draws (speed_kmh).
+_VALUES = {
+    "nodes": st.integers(-1, 3),
+    "duration": _floats(-1, 1),
+    "warmup": _floats(-0.5, 1.5),
+    "speed_kmh": _floats(-10, 1000),
+    "bitrate": _floats(-1e4, 5e4),
+    "payload": st.integers(-10, 3000),
+    "protocol": st.sampled_from(["parrot", "greedy", "flood", "aodv"]),
+    "channel": st.sampled_from(["rural", "urban", "lunar"]),
+    "alpha": _floats(-0.5, 1.5),
+    "gamma0": _floats(-0.5, 1.5),
+    "tau": _floats(-1, 10),
+    "chirp_interval": st.one_of(_floats(-1, 0), _floats(1e-3, 2)),
+    "dt": st.one_of(_floats(-1, 0), _floats(1e-3, 1)),
+    "history": st.integers(-1, 20),
+    "neighbor_timeout": _floats(-1, 5),
+    "entry_timeout": _floats(-1, 5),
+    "cohesion_window": _floats(-1, 2),
+    "initial_ttl": st.integers(-2, 70_000),
+    "r_tx": _floats(-10, 1000),
+    "tx_power_dbm": _floats(-100, 100),
+    "frequency_hz": _floats(-1e9, 1e10),
+    "pathloss_exponent": _floats(-1, 6),
+    "nakagami_m": _floats(0, 10),
+    "link_rate": _floats(-1e6, 1e8),
+    "hop_budget": st.integers(-1, 64),
+    "queue_limit": st.integers(-1, 200),
+    "forward_jitter": _floats(-0.01, 0.1),
+    "seed": st.integers(-(2**70), 2**70),
+    "runs": st.integers(-1, 100),
+    "sweep": st.sampled_from(SWEEPABLE + ("dt",)),
+    "sweep_values": st.lists(_floats(-2, 5), max_size=3).map(
+        lambda values: ",".join(map(repr, values))),
+}
+
+
+@st.composite
+def _overrides(draw):
+    """A few keys, each with a value inside or outside its range."""
+    keys = draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=4, unique=True))
+    return {key: draw(_VALUES[key]) for key in keys}
+
+
+@st.composite
+def _box_and_r_w(draw):
+    """r_w, maybe, and a box that is not positive, fits inside r_w, or is
+    roomy.  A roomy box has a side of at least 2 max(r_w, 1 m), so a leg of
+    the waypoint draw gains 1/12 m on average or more.  A box barely wider
+    than r_w is left out: its draw takes up to ~1e8 waypoints (a FOUND line
+    in CHANGES.md records it)."""
+    pairs = {}
+    r_w = 10.0
+    if draw(st.booleans()):
+        drawn = draw(st.one_of(_floats(-5, 0), _floats(0, 50, exclude_min=True)))
+        pairs["r_w"] = drawn
+        r_w = drawn if drawn > 0 else r_w
+    kind = draw(st.sampled_from(["default", "roomy", "roomy", "not positive", "inside r_w"]))
+    if kind == "default":
+        return pairs
+    side = _floats(0, 1e4, exclude_min=True)
+    sides = [draw(side), draw(side), draw(side)]
+    axis = draw(st.integers(0, 2))
+    if kind == "not positive":
+        sides[axis] = draw(_floats(-10, 0))
+    elif kind == "inside r_w":
+        # A margin against rounding: the diagonal stays below r_w.
+        sides = [draw(_floats(0, 0.99 * r_w / math.sqrt(3), exclude_min=True))
+                 for _ in range(3)]
+    else:
+        sides[axis] = draw(_floats(2 * max(r_w, 1.0), 1e4))
+    pairs.update(zip(("box_x", "box_y", "box_z"), sides))
+    return pairs
+
+
+class TestRandomOverrides:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=_overrides(), box=_box_and_r_w())
+    def test_located_error_or_a_run_that_conserves_packets(self, pairs, box):
+        overrides = ["nodes=3", "duration=1", "warmup=0.5", "bitrate=112000"] + [
+            f"{key}={value}" for key, value in {**pairs, **box}.items()
+        ]
+        try:
+            cfg = parse_config(None, overrides)
+        except ConfigError as exc:
+            assert re.match(r"(--set #\d+|default)[ :]", str(exc)), str(exc)
+            return
+        m = run(cfg.scenario)
+        assert m.sent == m.delivered + sum(m.drops.values())
 
 
 class TestSeeds:

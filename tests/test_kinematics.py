@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -179,6 +183,32 @@ class TestRandomWaypoint:
             state = step_random_waypoint(state, cfg)
         assert len(state.history) == 5
         assert state.history[-1] == state.position
+
+
+    @pytest.mark.parametrize("box", ["Vec3(5, 5, 5)", "Vec3(10, 1e-9, 1e-9)"])
+    def test_box_no_wider_than_r_w_refused(self, box):
+        # No two points of such a box lie more than r_w = 10 apart, so no
+        # leg counts toward the queue's length and the draw never ends.  A
+        # child process with capped memory keeps an unbounded draw from
+        # hanging this test.
+        code = f"""
+import resource
+from random import Random
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+from parrot_net.kinematics import MobilityConfig, Vec3, make_random_waypoint_state
+try:
+    make_random_waypoint_state({box}, 0.0, 1.0, Random(0), MobilityConfig(r_w=10.0))
+except ValueError as exc:
+    assert "r_w" in str(exc), exc
+else:
+    raise SystemExit("accepted")
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPredictionAgreement:

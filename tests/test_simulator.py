@@ -107,6 +107,15 @@ class TestRunBasics:
             run(Scenario(duration=0.0))
         with pytest.raises(ConfigError):
             run(Scenario(protocol="mystery"))
+        with pytest.raises(ConfigError, match=r"^box\.x 0 must be > 0"):
+            run(Scenario(box=Vec3(0, 10, 10), duration=1.0, warmup=0.0))
+
+    def test_box_no_wider_than_r_w_rejected(self):
+        # Its waypoint draw would never end (make_random_waypoint_state).
+        with pytest.raises(ConfigError) as err:
+            Scenario(box=Vec3(5, 5, 5), mobility=MobilityConfig(r_w=10.0)).validate()
+        assert err.value.fields == ("box", "mobility.r_w")
+        Scenario(box=Vec3(5, 5, 5), mobility=MobilityConfig(r_w=8.0)).validate()
 
     @pytest.mark.parametrize("name, bad, edge", [
         ("forward_jitter", -0.01, 0.0),
@@ -153,11 +162,13 @@ class TestMacBehavior:
             payload=None, size=100,
         )
         # Drive the MAC directly: both nodes start transmitting at t=0.
-        sim.enqueue(sim.nodes[0], frame(0))
+        first = frame(0)
+        sim.enqueue(sim.nodes[0], first)
+        assert sim.nodes[2].clean is first
         sim.enqueue(sim.nodes[1], frame(1))
-        receptions = sim.nodes[2].inflight
-        assert len(receptions) == 2
-        assert all(rec.corrupted for rec in receptions)
+        # Node 2 receives both, and neither cleanly.
+        assert sim.nodes[2].busy == 2
+        assert sim.nodes[2].clean is None
 
     def test_half_duplex_receiver_misses_while_talking(self):
         sc = quiet_flood_scenario()
@@ -165,8 +176,7 @@ class TestMacBehavior:
         sim.enqueue(sim.nodes[0], Frame(0, None, "data", None, 5000))
         # Node 0 is mid-transmission; a frame arriving at it is corrupted.
         sim.enqueue(sim.nodes[1], Frame(1, None, "data", None, 100))
-        at_zero = [rec for rec in sim.nodes[0].inflight]
-        assert len(at_zero) == 1 and at_zero[0].corrupted
+        assert sim.nodes[0].busy == 1 and sim.nodes[0].clean is None
 
     def test_retry_then_success_latency(self):
         # Script the channel: the first three attempts of every unicast data
