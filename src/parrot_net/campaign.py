@@ -157,12 +157,16 @@ def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
     return entries
 
 
-def parse_config(path: str | None = None, overrides: list[str] | None = None) -> CampaignConfig:
-    """Build a CampaignConfig from a key = value file plus override pairs.
+def parse_config(path: str | None = None, overrides: list[str] | None = None,
+                 flags: dict[str, str] | None = None) -> CampaignConfig:
+    """Build a CampaignConfig from a key = value file, override pairs and
+    flags.
 
     Overrides ("key=value" strings, e.g. from repeated --set flags) win over
-    file entries.  Every error names the keys it is about and where each
-    was set: a file line, `--set #i`, or `default`.
+    file entries, and `flags` (key -> value text, from the command-line
+    flag named after the key, such as `--runs`) win over both.  Every error
+    names the keys it is about and where each was set: a file line,
+    `--set #i` (the i-th override), `--<key>` for a flag, or `default`.
     """
     entries: list[tuple[str, str, str]] = []
     if path is not None:
@@ -172,6 +176,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None) ->
             raise ConfigError(f"--set #{i}: expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         entries.append((key.strip(), value.strip(), f"--set #{i}"))
+    entries.extend((key, value, f"--{key}") for key, value in (flags or {}).items())
 
     values: dict[str, object] = {}
     origins: dict[str, str] = {}

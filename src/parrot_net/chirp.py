@@ -87,8 +87,14 @@ def decode_chirp(frame: bytes) -> Chirp:
     if len(frame) != CHIRP_SIZE:
         raise MalformedFrameError(f"expected {CHIRP_SIZE} bytes, got {len(frame)}")
     fields = _FRAME.unpack(frame)
-    _check(*fields)
     orig, px, py, pz, qx, qy, qz, reward, cohesion, seq, ttl = fields
+    # The whole domain in one test: the integer fields cannot leave their
+    # wire ranges, comparisons with NaN are false, and a sum of six finite
+    # binary32 values cannot overflow a double, so it is finite exactly
+    # when all six are.  `_check` then names the field at fault.
+    if not (0.0 <= reward <= 1.0 and 0.0 <= cohesion <= 1.0
+            and math.isfinite(px + py + pz + qx + qy + qz)):
+        _check(*fields)
     return Chirp(orig, Vec3(px, py, pz), Vec3(qx, qy, qz), reward, cohesion, seq, ttl)
 
 

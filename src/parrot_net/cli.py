@@ -39,16 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    overrides = list(args.set)
-    for flag in ("seed", "runs", "protocol", "channel", "out"):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides.append(f"{flag}={value}")
+    # Each flag sets the configuration key of its name.
+    flags = {
+        flag: str(getattr(args, flag))
+        for flag in ("seed", "runs", "protocol", "channel", "out")
+        if getattr(args, flag) is not None
+    }
     if args.trace:
-        overrides.append("trace=true")
+        flags["trace"] = "true"
 
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config, args.set, flags)
     except ConfigError as exc:
         print(f"parrot-net: config error: {exc}", file=sys.stderr)
         return 1

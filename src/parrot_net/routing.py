@@ -5,6 +5,13 @@ and the Q-value toward the chirp's originator; the learning discount per
 neighbor combines a constant base factor with a link-expiry factor and the
 neighbor's advertised cohesion.  Forwarding picks the live neighbor with the
 highest Q for the destination.
+
+Neighbor records and Q entries are updated in place, so `neighbors[j]` and
+a Q entry keep their identity from one chirp to the next and only the
+chirp's first contact with a neighbor or destination builds new state.
+Timeouts are checked behind a lower bound on the last-heard times of the
+records and one on the update times of the Q entries: each scan runs only
+when some record or entry can have timed out.
 """
 
 from __future__ import annotations
@@ -72,9 +79,10 @@ class RoutingParams:
                 "lie in [1, 65535]")
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
-    """What the last chirp heard directly from a neighbor told us."""
+    """What the last chirp heard directly from a neighbor told us; each
+    later chirp from the neighbor overwrites the same record."""
 
     node: int
     last_heard: float
@@ -83,7 +91,7 @@ class NeighborRecord:
     cohesion: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _QEntry:
     q: float
     updated: float
@@ -118,11 +126,19 @@ class QTable:
 
     def update(self, dest: int, neighbor: int, alpha: float, discount: float,
                reward: float, now: float) -> float:
-        row = self._rows.setdefault(dest, {})
+        """One learning step of Q(dest, neighbor), from 0.0 for a new
+        entry; an existing entry is updated in place."""
+        row = self._rows.get(dest)
+        if row is None:
+            row = self._rows[dest] = {}
         entry = row.get(neighbor)
-        q = entry.q if entry is not None else 0.0
-        q = q + alpha * (discount * reward - q)
-        row[neighbor] = _QEntry(q, now)
+        if entry is None:
+            q = 0.0 + alpha * (discount * reward - 0.0)
+            row[neighbor] = _QEntry(q, now)
+        else:
+            q = entry.q + alpha * (discount * reward - entry.q)
+            entry.q = q
+            entry.updated = now
         if now < self._oldest:
             self._oldest = now
         return q
@@ -138,20 +154,42 @@ class QTable:
                 best = entry.q
         return best
 
+    def best_neighbor(self, dest: int, live: dict[int, NeighborRecord] | set[int]) -> int | None:
+        """The live neighbor with the largest Q(dest, j) above the no-route
+        floor, ties to the lowest id; None when there is none."""
+        row = self._rows.get(dest)
+        if not row:
+            return None
+        best = None
+        best_q = Q_FLOOR
+        for j, entry in row.items():
+            q = entry.q
+            if (q > best_q or q == best_q and best is not None and j < best) and j in live:
+                best, best_q = j, q
+        return best
+
     def evict(self, now: float, timeout: float) -> None:
         """Delete the entries last updated more than `timeout` before `now`,
-        and the rows left empty."""
+        and the rows left empty.  The pass that deletes also finds the new
+        lower bound of the update times."""
         if now - self._oldest <= timeout:
             return
         oldest = now
-        for dest in list(self._rows):
-            row = self._rows[dest]
-            for j in [j for j, e in row.items() if now - e.updated > timeout]:
-                del row[j]
-            if row:
-                oldest = min(oldest, min(e.updated for e in row.values()))
+        rows = self._rows
+        for dest in list(rows):
+            row = rows[dest]
+            dead = []
+            for j, entry in row.items():
+                updated = entry.updated
+                if now - updated > timeout:
+                    dead.append(j)
+                elif updated < oldest:
+                    oldest = updated
+            if len(dead) == len(row):
+                del rows[dest]
             else:
-                del self._rows[dest]
+                for j in dead:
+                    del row[j]
         self._oldest = oldest
 
     def destinations(self) -> list[int]:
@@ -220,6 +258,9 @@ class RoutingState:
         self.r_tx = r_tx
         self.table = QTable()
         self.neighbors: dict[int, NeighborRecord] = {}
+        # A lower bound on the `last_heard` time of every record, so that
+        # `expire` scans only when some neighbor can have timed out.
+        self._quiet_since = -math.inf
         self.cohesion = CohesionHistory(frozenset(), now)
         self.self_position = Vec3()
         self.self_prediction = Vec3()
@@ -251,10 +292,10 @@ class RoutingState:
 
         Stale and self-originated chirps are discarded outright.  Otherwise
         the forwarder's neighbor record and the Q entry toward the originator
-        are updated, and the chirp is rewritten for re-broadcast: own
-        mobility info, own cohesion, best local Q as the new reward, TTL
-        down by one.  A TTL that reaches zero stops the forwarding but not
-        the local handling.
+        are updated in place (built on first contact), and the chirp is
+        rewritten for re-broadcast: own mobility info, own cohesion, best
+        local Q as the new reward, TTL down by one.  A TTL that reaches zero
+        stops the forwarding but not the local handling.
         """
         if forwarder is None:
             return _MALFORMED
@@ -264,14 +305,19 @@ class RoutingState:
         if not self.table.note_fresh_seq(dest, chirp.seq):
             return _STALE
 
-        self.neighbors[forwarder] = NeighborRecord(
-            node=forwarder,
-            last_heard=now,
-            position=chirp.position,
-            predicted_position=chirp.predicted_position,
-            cohesion=chirp.cohesion,
-        )
-        discount = self.gamma(forwarder, now)
+        record = self.neighbors.get(forwarder)
+        if record is None:
+            record = self.neighbors[forwarder] = NeighborRecord(
+                forwarder, now, chirp.position, chirp.predicted_position, chirp.cohesion)
+        else:
+            record.last_heard = now
+            record.position = chirp.position
+            record.predicted_position = chirp.predicted_position
+            record.cohesion = chirp.cohesion
+        if now < self._quiet_since:
+            self._quiet_since = now
+        # gamma(forwarder, now), from the record in hand.
+        discount = self.params.gamma0 * self.phi_let(record, now) * record.cohesion
         self.table.update(dest, forwarder, self.params.alpha, discount, chirp.reward, now)
 
         ttl = chirp.ttl - 1
@@ -326,13 +372,15 @@ class RoutingState:
 
     def phi_coh(self, now: float) -> float:
         """Neighbor-set stability in [0, 1] from the symmetric difference of
-        the live set and the last snapshot.  Two empty sets score 1.0."""
-        current = frozenset(self.neighbors)
+        the live set and the last snapshot.  Two empty sets score 1.0.
+        Both sizes follow from the size of the intersection."""
         snapshot = self.cohesion.snapshot
-        if not current and not snapshot:
+        neighbors = self.neighbors
+        if not neighbors and not snapshot:
             return 1.0
-        union = len(current | snapshot)
-        sym = len(current ^ snapshot)
+        common = len(snapshot.intersection(neighbors))
+        union = len(neighbors) + len(snapshot) - common
+        sym = union - common
         return math.sqrt(1.0 - sym / union)
 
     # -- forwarding ---------------------------------------------------------
@@ -340,21 +388,32 @@ class RoutingState:
     def select_next_hop(self, dest: int) -> int | None:
         """Live neighbor with maximal Q toward dest; ties go to the lowest
         id; None when nothing is above the no-route floor."""
-        best = None
-        best_q = Q_FLOOR
-        for j in sorted(self.neighbors):
-            q = self.table.get(dest, j)
-            if q > best_q:
-                best, best_q = j, q
-        return best
+        return self.table.best_neighbor(dest, self.neighbors)
 
     # -- housekeeping ---------------------------------------------------------
 
     def expire(self, now: float) -> None:
         """Evict silent neighbors and stale Q entries, then roll the cohesion
-        snapshot forward when its window has elapsed."""
+        snapshot forward when its window has elapsed.
+
+        Neighbors are scanned only when the lower bound on their last-heard
+        times says one can have timed out, and that scan renews the bound.
+        The bound follows the records that `handle_chirp` writes; a record
+        put into `neighbors` by hand is seen once a scan runs.
+        """
         timeout = self.params.neighbor_timeout
-        for j in [j for j, rec in self.neighbors.items() if now - rec.last_heard > timeout]:
-            del self.neighbors[j]
+        if now - self._quiet_since > timeout:
+            quiet_since = now
+            neighbors = self.neighbors
+            dead = []
+            for j, record in neighbors.items():
+                heard = record.last_heard
+                if now - heard > timeout:
+                    dead.append(j)
+                elif heard < quiet_since:
+                    quiet_since = heard
+            for j in dead:
+                del neighbors[j]
+            self._quiet_since = quiet_since
         self.table.evict(now, self.params.entry_timeout)
         self.cohesion.refresh(now, self.neighbors, self.params.cohesion_window)

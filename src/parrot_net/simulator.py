@@ -121,6 +121,14 @@ class Scenario:
             self.routing.validate()
         with within("budget."):
             self.budget.validate()
+        # `_first_not_before` finds a periodic source's last event over
+        # floats, which count every index only below 2**53.
+        interval = self.routing.chirp_interval
+        require(self.duration / interval < 2.0**53, "routing.chirp_interval", interval,
+                f"leave fewer than 2**53 chirps in duration {self.duration!r}", "duration")
+        require(self.duration * self.cbr_rate / (8 * self.payload) < 2.0**53, "cbr_rate",
+                self.cbr_rate, f"send fewer than 2**53 packets in duration {self.duration!r}",
+                "payload", "duration")
 
 
 @slot_init
@@ -134,7 +142,7 @@ class DataPacket:
     measured: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """Link-layer frame; link_dest None means broadcast.
 
@@ -187,6 +195,9 @@ class _PacketState:
 
 
 class _Node:
+    __slots__ = ("id", "position", "routing", "queue", "transmitting", "busy", "clean",
+                 "seen_flood")
+
     def __init__(self, node_id: int, routing: RoutingState):
         self.id = node_id
         self.position = Vec3()  # at the latest mobility tick; see Simulation._place
@@ -251,10 +262,18 @@ def optimal_pdr_bound(
 
 
 def _first_not_before(offset: float, interval: float, k: int, limit: float) -> int:
-    """The first index from k on with offset + k * interval >= limit."""
-    while offset + k * interval < limit:
-        k += 1
-    return k
+    """The first index from k on with offset + k * interval >= limit.
+
+    The predicate is monotone in the index, since rounding preserves
+    order, so the closed-form estimate only needs its rounding error
+    corrected, by the predicate itself.
+    """
+    first = max(k, math.ceil((limit - offset) / interval))
+    while first > k and offset + (first - 1) * interval >= limit:
+        first -= 1
+    while offset + first * interval < limit:
+        first += 1
+    return first
 
 
 def _reaches(coords: Sequence[float], base: int, n: int, r_tx: float, src: int,
@@ -317,9 +336,14 @@ class Simulation:
             _Node(i, RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx))
             for i in range(scenario.nodes)
         ]
-        self._place(0)
-        # Link rows of the current tick, per sender; see _link_row.
+        # The positions of the ticks from the current one to `_lead` ahead;
+        # see _place.
+        self._ahead = deque(self._vectors(k) for k in range(self._lead + 1))
+        self._place()
+        # Link rows and link values of the current tick, per sender; see
+        # _link_row.
         self._rows: list[list | None] = [None] * scenario.nodes
+        self._links: list[list[float] | None] = [None] * scenario.nodes
         # Every node but the sender, per sender, in node order.
         self._others = [[o for o in self.nodes if o is not node] for node in self.nodes]
         self._urban = scenario.channel == radio.URBAN
@@ -387,23 +411,28 @@ class Simulation:
         m = self._motion
         return Vec3(m[j], m[j + 1], m[j + 2])
 
-    def _place(self, k: int) -> None:
-        """Set every node's position and self-prediction to those of tick
-        k, read from the motion table."""
+    def _vectors(self, k: int) -> list[Vec3]:
+        """The positions of every node at tick k, in node order."""
         m = self._motion
-        n = self.sc.nodes
-        j = 3 * n * k
-        ahead = 3 * n * self._lead
+        j = 3 * self.sc.nodes * k
+        return [Vec3(m[i], m[i + 1], m[i + 2]) for i in range(j, j + 3 * self.sc.nodes, 3)]
+
+    def _place(self) -> None:
+        """Set every node's position and self-prediction to those of the
+        current tick k.
+
+        `_ahead` holds the position rows of ticks k to k + `_lead`, each
+        built once, when its tick comes within the horizon: the row that
+        gives the self-predictions at tick k gives the positions at
+        k + `_lead`.
+        """
+        k = self._tick_index
         exhausted = self._exhausted
-        for node in self.nodes:
-            node.position = Vec3(m[j], m[j + 1], m[j + 2])
-            if k < exhausted[node.id]:
-                q = j + ahead
-                predicted = Vec3(m[q], m[q + 1], m[q + 2])
-            else:
+        for node, position, predicted in zip(self.nodes, self._ahead[0], self._ahead[-1]):
+            node.position = position
+            if k >= exhausted[node.id]:
                 predicted = self._slope_prediction(node.id, k)
-            node.routing.update_self(node.position, predicted)
-            j += 3
+            node.routing.update_self(position, predicted)
 
     def _slope_prediction(self, i: int, k: int) -> Vec3:
         """The self-prediction of node i at tick k once its waypoints have
@@ -479,21 +508,20 @@ class Simulation:
 
     def _tick(self) -> None:
         self._tick_index += 1
-        self._place(self._tick_index)
+        ahead = self._ahead
+        ahead.popleft()
+        ahead.append(self._vectors(self._tick_index + self._lead))
+        self._place()
         for node in self.nodes:
             node.routing.expire(self.now)
         self._rows = [None] * len(self.nodes)
+        self._links = [None] * len(self.nodes)
         self._reach = None
 
     def _emit_chirp(self, node: _Node) -> None:
         chirp = node.routing.make_chirp(self.now)
-        self.enqueue(node, Frame(
-            sender=node.id,
-            link_dest=None,
-            kind="chirp",
-            payload=encode_chirp(chirp),
-            size=CHIRP_SIZE + self.sc.header_overhead,
-        ))
+        self.enqueue(node, Frame(node.id, None, "chirp", encode_chirp(chirp),
+                                 CHIRP_SIZE + self.sc.header_overhead))
 
     def _emit_packet(self) -> None:
         measured = self.now >= self.sc.warmup
@@ -549,12 +577,10 @@ class Simulation:
 
     def _enqueue_data(self, node: _Node, link_dest: int | None, pkt: DataPacket) -> None:
         self.enqueue(node, Frame(
-            sender=node.id,
-            link_dest=link_dest,
-            kind="data",
-            payload=DataPacket(pkt.pid, pkt.src, pkt.dst, pkt.emit_time,
-                               pkt.hops_left - 1, pkt.measured),
-            size=self.sc.payload + self.sc.header_overhead,
+            node.id, link_dest, "data",
+            DataPacket(pkt.pid, pkt.src, pkt.dst, pkt.emit_time, pkt.hops_left - 1,
+                       pkt.measured),
+            self.sc.payload + self.sc.header_overhead,
         ))
 
     # -- MAC ------------------------------------------------------------------
@@ -597,29 +623,47 @@ class Simulation:
         """The links of `sender` at the current tick, built on its first
         frame after the tick from the motion table's floats: rural lists
         the nodes within r_TX, urban the mean received power in dBm at
-        every other node, both in node order."""
-        row = self._rows[sender.id]
+        every other node, both in node order.
+
+        Building it keeps the link values, the distances under rural and
+        the powers under urban, in `_links`.  A link to a node whose row
+        was built earlier in the tick takes that node's value: d(i, j) and
+        d(j, i) differ only in the signs of dx, dy and dz, so they round
+        alike.
+        """
+        s = sender.id
+        row = self._rows[s]
         if row is None:
-            others = self._others[sender.id]
+            others = self._others[s]
             base = 3 * self.sc.nodes * self._tick_index
             m = self._motion
-            j = base + 3 * sender.id
+            j = base + 3 * s
             x, y, z = m[j], m[j + 1], m[j + 2]
             sqrt = math.sqrt
-            distances = []
+            links = self._links
+            urban, mean_power = self._urban, self._mean_power
+            values = []
             for other in others:
-                j = base + 3 * other.id
+                o = other.id
+                partner = links[o]
+                if partner is not None:
+                    # s sits at index s - 1 of o's others when s > o.
+                    values.append(partner[s - (s > o)])
+                    continue
+                j = base + 3 * o
                 # Vec3.distance_to, operation for operation.
                 dx = x - m[j]
                 dy = y - m[j + 1]
                 dz = z - m[j + 2]
-                distances.append(sqrt(dx * dx + dy * dy + dz * dz))
-            if self._urban:
-                row = [self._mean_power(d) for d in distances]
+                d = sqrt(dx * dx + dy * dy + dz * dz)
+                values.append(mean_power(d) if urban else d)
+            links[s] = values
+            if urban:
+                row = values
             else:
                 r_tx = self.r_tx
-                row = [o for o, d in zip(others, distances) if d <= r_tx]
-            self._rows[sender.id] = row
+                row = [o for o, d in zip(others, values) if d <= r_tx]
+            self._rows[s] = row
         return row
 
     def hears(self, frame: Frame) -> list[_Node]:
@@ -711,13 +755,8 @@ class Simulation:
 
     def _forward_chirp(self, node: _Node, chirp: Chirp) -> None:
         """Re-broadcast `chirp` from `node` after a random jitter."""
-        out = Frame(
-            sender=node.id,
-            link_dest=None,
-            kind="chirp",
-            payload=encode_chirp(chirp),
-            size=CHIRP_SIZE + self.sc.header_overhead,
-        )
+        out = Frame(node.id, None, "chirp", encode_chirp(chirp),
+                    CHIRP_SIZE + self.sc.header_overhead)
         delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
         self._schedule(self.now + delay, partial(self.enqueue, node, out))
 

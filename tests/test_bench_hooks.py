@@ -5,6 +5,7 @@
 `Tracer.install` and stops every traced benchmark pass.  A traced pass also
 breaks when a campaign's runs leave the process that installed the tracer:
 its per-layer figures then divide by a zero `routing.handle_chirp` count.
+A name that stays bound but is no longer called reads 0 in its layer.
 The benchmark modules are compiled from their sources; nothing under
 `perfbench/` is written.
 """
@@ -34,6 +35,18 @@ def test_every_hooked_name_is_bound_where_it_is_hooked():
     assert tracer.HOOKS and not missing
 
 
+# Hooked layers that every run calls.  The other six are already dead, and
+# not asserted: `simulator.bound` (the bound is counted online),
+# `kinematics.step` (the motion table steps through `motion_step`),
+# `kinematics.predict` (called only once a waypoint queue runs out) and
+# `channel.receive`, `channel.faded` and `channel.nakagami` (the simulator
+# draws through `channel.nakagami_sampler` in `Simulation.hears`).
+LIVE_HOOKS = (
+    "chirp.decode", "chirp.encode", "routing.handle_chirp", "routing.expire",
+    "routing.select", "simulator.init", "simulator.run", "simulator.collect", "campaign",
+)
+
+
 def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
     tracer_module, checks = load("tracer"), load("checks")
     cfg = campaign.parse_config(None, [
@@ -52,5 +65,7 @@ def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
     chirp_frames = sum(m.chirp_frames for point in results for m in point.metrics)
     layers = tracer.layer_metrics(chirp_frames)
     assert layers["routing.handle_chirp.calls"] > 0
+    dead = [key for key in LIVE_HOOKS if not tracer.calls[key]]
+    assert not dead, f"hooked but never called: {dead}"
     checks.check_arm(cfg, results, csv_path.read_text(encoding="utf-8"), "tiny",
                      bound_check=True)

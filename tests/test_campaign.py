@@ -432,6 +432,22 @@ class TestCli:
         assert f"'{pair.split('=')[0]}'" in err
         assert "not finite" in err
 
+    @pytest.mark.parametrize("argv, origin", [
+        (["--runs", "0"], "--runs 'runs'"),
+        (["--set", "nodes=4", "--runs", "0"], "--runs 'runs'"),
+        (["--set", "runs=0"], "--set #1 'runs'"),
+        (["--set", "nodes=4", "--set", "runs=2", "--seed", "3", "--set", "warmup=900"],
+         "--set #3 'warmup'"),
+    ])
+    def test_config_error_names_the_flag_that_set_it(self, argv, origin, capsys):
+        code = cli.main(["run"] + argv)
+        assert code == 1
+        assert f"config error: {origin}" in capsys.readouterr().err
+
+    def test_flag_wins_over_set(self):
+        cfg = parse_config(None, ["runs=0"], {"runs": "2"})
+        assert cfg.runs == 2
+
     def test_unknown_key_exit_one(self, capsys):
         code = cli.main(["run", "--set", "bogus=1"])
         assert code == 1

@@ -355,6 +355,14 @@ class TestHandleChirp:
         # Reward re-stamped as the best local Q toward the originator.
         assert abs(fwd.reward - state.table.get(9, 9)) < 1e-12
 
+    def test_records_are_updated_in_place(self):
+        state = make_state()
+        state.handle_chirp(chirp_from(3, 1, position=Vec3(10, 0, 0)), 2, 0.0)
+        record = state.neighbors[2]
+        state.handle_chirp(chirp_from(4, 1, position=Vec3(20, 0, 0), cohesion=0.5), 2, 0.4)
+        assert state.neighbors[2] is record
+        assert (record.last_heard, record.position, record.cohesion) == (0.4, Vec3(20, 0, 0), 0.5)
+
     def test_deterministic(self):
         def play():
             state = make_state(node_id=1)
@@ -538,6 +546,55 @@ class TestEvictionBound:
                     dest, neighbor, discount = update
                     table.update(dest, neighbor, 0.5, discount, 1.0, now)
             assert table_contents(bounded) == table_contents(full)
+
+
+class FullScanNeighbors(RoutingState):
+    """Scans every neighbor on every `expire`: the reference for the
+    neighbor bound of `RoutingState`."""
+
+    def expire(self, now):
+        timeout = self.params.neighbor_timeout
+        for j in [j for j, rec in self.neighbors.items() if now - rec.last_heard > timeout]:
+            del self.neighbors[j]
+        self.table.evict(now, self.params.entry_timeout)
+        self.cohesion.refresh(now, self.neighbors, self.params.cohesion_window)
+
+
+class TestNeighborExpiryBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Round times make records that sit exactly at the timeout likely.
+        timeout=st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.1, 3.0)),
+        ops=st.lists(
+            st.tuples(
+                st.one_of(                              # time step; 0.0 stalls
+                    st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5]),
+                    st.floats(0.0, 2.0),
+                ),
+                st.one_of(st.none(), st.tuples(         # None: expire
+                    st.integers(2, 5),                  # originator
+                    st.integers(2, 5),                  # forwarder
+                )),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_full_scan(self, timeout, ops):
+        params = RoutingParams(neighbor_timeout=timeout, entry_timeout=2 * timeout)
+        bounded = RoutingState(1, params, tau=2.5, r_tx=150.0)
+        full = FullScanNeighbors(1, params, tau=2.5, r_tx=150.0)
+        now = 0.0
+        for seq, (step, chirp) in enumerate(ops, start=1):
+            now += step
+            for state in (bounded, full):
+                if chirp is None:
+                    state.expire(now)
+                else:
+                    origin, forwarder = chirp
+                    state.handle_chirp(chirp_from(origin, seq, position=Vec3(40 * forwarder, 0, 0)),
+                                       forwarder, now)
+            assert list(bounded.neighbors.items()) == list(full.neighbors.items())
+            assert table_contents(bounded.table) == table_contents(full.table)
 
 
 class TestBoundedness:

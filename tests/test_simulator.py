@@ -17,12 +17,14 @@ from parrot_net.kinematics import (
     predict_position,
     step_random_waypoint,
 )
+from parrot_net.routing import RoutingParams
 from parrot_net.simulator import (
     DROP_CAUSES,
     PROTOCOLS,
     Frame,
     Scenario,
     Simulation,
+    _first_not_before,
     greedy_next_hop,
     optimal_pdr_bound,
     run,
@@ -129,6 +131,18 @@ class TestRunBasics:
         with pytest.raises(ConfigError, match=name):
             Scenario(**{name: bad}).validate()
         Scenario(**{name: edge}).validate()
+
+    @pytest.mark.parametrize("overrides, fields", [
+        ({"routing": RoutingParams(chirp_interval=1e-310)}, ("routing.chirp_interval", "duration")),
+        ({"routing": RoutingParams(chirp_interval=1e-14)}, ("routing.chirp_interval", "duration")),
+        ({"cbr_rate": 1e300}, ("cbr_rate", "payload", "duration")),
+    ])
+    def test_uncountable_stream_rejected(self, overrides, fields):
+        # 2**53 events or more: the float grid no longer tells neighbouring
+        # indices apart, or their count overflows.
+        with pytest.raises(ConfigError) as err:
+            Scenario(**overrides).validate()
+        assert err.value.fields == fields
 
     @pytest.mark.parametrize("overrides", [
         {"speed": math.nan},
@@ -300,6 +314,62 @@ def cbr_emission_times(sc):
             times.append(t)
         k += 1
     return times
+
+
+def count_to_first_not_before(offset, interval, k, limit):
+    """The index search `_first_not_before` replaces, one step at a time."""
+    while offset + k * interval < limit:
+        k += 1
+    return k
+
+
+class TestStreamLength:
+    """The end index of a periodic source, computed in closed form, against
+    the loop it replaces.  Limits that sit on the grid, or one ulp off it,
+    make the rounding of the estimate matter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        interval=st.one_of(st.sampled_from([0.05, 0.1, 0.5]), st.floats(1e-2, 10.0)),
+        phase=st.floats(0.0, 1.0, exclude_max=True),
+        k=st.integers(0, 2),
+        limit=st.one_of(st.floats(-1.0, 100.0), st.integers(0, 1000)),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    @example(interval=0.1, phase=0.0, k=1, limit=3, nudge=0)
+    @example(interval=0.05, phase=0.0, k=1, limit=1800, nudge=0)
+    def test_matches_the_loop(self, interval, phase, k, limit, nudge):
+        offset = phase * interval
+        if isinstance(limit, int):
+            # The limit on the grid: the time of event `limit`.
+            limit = offset + limit * interval
+        limit = math.nextafter(limit, math.copysign(math.inf, nudge)) if nudge else limit
+        assert (_first_not_before(offset, interval, k, limit)
+                == count_to_first_not_before(offset, interval, k, limit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        interval=st.floats(1e-12, 1e-2),
+        phase=st.floats(0.0, 1.0, exclude_max=True),
+        k=st.integers(0, 2),
+        span=st.one_of(st.floats(-1.0, 1000.0), st.integers(0, 1000)),
+        nudge=st.sampled_from([-1, 0, 1]),
+    )
+    @example(interval=1e-9, phase=0.0, k=0, span=1000, nudge=0)
+    @example(interval=1e-9, phase=0.5, k=0, span=999.5, nudge=1)
+    def test_tiny_intervals_match_the_loop(self, interval, phase, k, span, nudge):
+        # The limit is `span` intervals away, so the loop stays short.
+        offset = phase * interval
+        limit = offset + span * interval if isinstance(span, int) else span * interval
+        limit = math.nextafter(limit, math.copysign(math.inf, nudge)) if nudge else limit
+        assert (_first_not_before(offset, interval, k, limit)
+                == count_to_first_not_before(offset, interval, k, limit))
+
+    def test_tiny_chirp_interval_builds_at_once(self):
+        # Counting its chirps one by one took a billion steps per node.
+        sc = Scenario(nodes=3, duration=1.0, warmup=0.5,
+                      routing=RoutingParams(chirp_interval=1e-9))
+        assert Simulation(sc).now == 0.0
 
 
 class TestOnlineBound:
