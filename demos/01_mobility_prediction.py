@@ -1,8 +1,8 @@
 """Compare the position predictors on random waypoint trajectories.
 
-The waypoint-aware predictor replays the exact motion law, so its error is
-zero while the trajectory is known.  The slope fallback only errs around
-turns.  Naive hold-position serves as the reference: its error is v * tau.
+The waypoint-aware predictor replays the exact motion law along the node's
+endless waypoint queue, so its error is zero.  The slope predictor only errs
+around turns.  Naive hold-position serves as the reference: its error is v * tau.
 """
 
 from parrot_net.campaign import prediction_accuracy_study

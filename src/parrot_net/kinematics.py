@@ -1,8 +1,9 @@
 """Node motion state, position self-prediction, and random waypoint mobility.
 
-Two predictors are provided: a waypoint-aware one that virtually replays the
-discretized motion law along the known waypoint queue, and a slope fallback
-that extrapolates the average velocity of the recent position history.
+Random waypoint queues are endless, drawn on demand.  Two predictors are
+provided: a waypoint-aware one that virtually replays the discretized motion
+law along the waypoint queue, and a slope predictor that extrapolates the
+average velocity of the recent position history.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from random import Random
+from typing import Sequence
 
 from .errors import require, require_finite
 
@@ -95,7 +97,7 @@ class MobilityConfig:
     dt: mobility update interval in seconds.
     tau: prediction horizon in seconds.
     r_w: waypoint containment radius in meters.
-    h: number of history samples kept for the slope predictor.
+    h: history samples kept for the slope predictor (unused by the simulator).
     """
 
     dt: float = 0.1
@@ -116,14 +118,15 @@ class MobilityConfig:
 class KinematicState:
     """Value-semantics motion state of one node.
 
-    `waypoints` is the full pre-generated queue for the run; `cursor` indexes
-    the waypoint currently steered for.  `history` holds the last positions
-    sampled once per mobility tick, newest last.
+    `waypoints` is an endless `WaypointQueue`, or a finite queue built by
+    hand, after which the node stops; `cursor` indexes the waypoint steered
+    for.  `history` holds the last positions sampled once per mobility tick,
+    newest last.
     """
 
     position: Vec3
     speed: float
-    waypoints: tuple[Vec3, ...] = ()
+    waypoints: Sequence[Vec3] = ()
     cursor: int = 0
     history: tuple[Vec3, ...] = ()
 
@@ -131,7 +134,23 @@ class KinematicState:
         return max(0, len(self.waypoints) - self.cursor)
 
 
-def _contain(x: float, y: float, z: float, waypoints: tuple[Vec3, ...], k: int,
+class WaypointQueue(list):
+    """The waypoints drawn so far, uniform in `box` from `rng`, which must
+    draw nothing else.  The motion law draws the next one when the cursor
+    reaches the end, so the queue never runs out; indexing costs a list's."""
+
+    __slots__ = ("box", "rng")
+
+    def __init__(self, box: Vec3, rng: Random) -> None:
+        super().__init__()
+        self.box, self.rng = box, rng
+        self.draw()
+
+    def draw(self) -> None:
+        self.append(_uniform_point(self.box, self.rng))
+
+
+def _contain(x: float, y: float, z: float, waypoints: Sequence[Vec3], k: int,
              r_w: float) -> int:
     # Containment is also checked before the first step so a node spawned
     # inside the waypoint sphere does not stall for one tick.
@@ -144,12 +163,15 @@ def _contain(x: float, y: float, z: float, waypoints: tuple[Vec3, ...], k: int,
         dz = z - w.z
         if math.sqrt(dx * dx + dy * dy + dz * dz) <= r_w:
             k += 1
+            if k == n and isinstance(waypoints, WaypointQueue):
+                waypoints.draw()
+                n += 1
         else:
             break
     return k
 
 
-def motion_step(x: float, y: float, z: float, k: int, waypoints: tuple[Vec3, ...],
+def motion_step(x: float, y: float, z: float, k: int, waypoints: Sequence[Vec3],
                 speed: float, dt: float, r_w: float) -> tuple[float, float, float, int]:
     """One mobility tick of the waypoint follower on bare floats.
 
@@ -249,34 +271,26 @@ def make_random_waypoint_state(
     rng: Random,
     cfg: MobilityConfig,
 ) -> KinematicState:
-    """Spawn a node and draw its whole waypoint sequence up front.
+    """Spawn a node uniformly in the box, with an endless waypoint queue.
 
-    Waypoints are uniform in the box, drawn until their gaps less r_w per
-    leg cover speed * duration + 2 r_w.  A leg's path can be nearly its full
-    gap, so the queue can run out before `duration`.  From then on the node
-    stops, and self-prediction falls back to the slope predictor.  A box
-    whose diagonal is at most r_w is refused: no two of its points lie more
-    than r_w apart, so no leg would count and the draw would never end.
+    The spawn is drawn from `rng` first; the `WaypointQueue` then draws
+    each waypoint, uniform in the box, when the motion first reaches it, so
+    `rng` must be the node's own.  `duration` is not read.  A box whose
+    diagonal is at most 2 r_w is refused: every point of it lies within r_w
+    of its centre, where a node would draw waypoints forever.  Just above
+    that edge nodes draw many waypoints per tick (700 on average in a 12 m
+    cube at r_w 10 m and 50 km/h).
     """
-    if not (bounds.x > 0 and bounds.y > 0 and bounds.z > 0) or bounds.norm() <= cfg.r_w:
+    if not (bounds.x > 0 and bounds.y > 0 and bounds.z > 0) or bounds.norm() <= 2.0 * cfg.r_w:
         raise ValueError(
-            f"bounds must be positive in all dimensions with a diagonal above "
-            f"r_w {cfg.r_w}, got {bounds}"
+            f"bounds must be positive with a diagonal above twice r_w {cfg.r_w}, or a "
+            f"node at the centre would draw waypoints forever, got {bounds}"
         )
     spawn = _uniform_point(bounds, rng)
-    need = speed * duration + 2.0 * cfg.r_w
-    waypoints: list[Vec3] = []
-    covered = 0.0
-    last = spawn
-    while covered < need:
-        nxt = _uniform_point(bounds, rng)
-        covered += max(last.distance_to(nxt) - cfg.r_w, 0.0)
-        waypoints.append(nxt)
-        last = nxt
     return KinematicState(
         position=spawn,
         speed=speed,
-        waypoints=tuple(waypoints),
+        waypoints=WaypointQueue(bounds, rng),
         cursor=0,
         history=(spawn,),
     )

@@ -31,17 +31,15 @@ from .channel import LinkBudget, default_budget
 from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
 from .errors import require, require_finite, within
 from .kinematics import (
-    KinematicState,
     MobilityConfig,
     Vec3,
     make_random_waypoint_state,
     motion_step,
-    predict_position,
     slot_init,
 )
-# Bound for perfbench/tracer.py, which hooks the name here; the motion
+# Bound for perfbench/tracer.py, which hooks the names here; the motion
 # table steps through `motion_step`.
-from .kinematics import step_random_waypoint  # noqa: F401
+from .kinematics import predict_position, step_random_waypoint  # noqa: F401
 from .routing import Forward, RoutingParams, RoutingState
 
 PROTOCOLS = ("parrot", "greedy", "flood")
@@ -97,11 +95,11 @@ class Scenario:
         require(self.nodes >= 2, "nodes", self.nodes, "be >= 2")
         for name in ("x", "y", "z"):
             require(getattr(self.box, name) > 0, f"box.{name}", getattr(self.box, name), "be > 0")
-        # No two points of a box that fits inside r_w lie farther apart
-        # than r_w, so its waypoints never count as travel.
         r_w = self.mobility.r_w
-        require(self.box.norm() > r_w, "box", self.box,
-                f"have a diagonal above mobility.r_w {r_w!r}", "mobility.r_w")
+        require(self.box.norm() > 2 * r_w, "box", self.box,
+                f"have a diagonal above twice mobility.r_w {r_w!r}: every point of a "
+                "narrower box lies within r_w of its centre, where a node would draw "
+                "waypoints forever", "mobility.r_w")
         require(self.duration > 0, "duration", self.duration, "be > 0")
         require(0 <= self.warmup < self.duration, "warmup", self.warmup,
                 f"lie in [0, duration {self.duration!r})", "duration")
@@ -323,14 +321,7 @@ class Simulation:
         # Ticks in the self-prediction horizon, as the waypoint predictor
         # counts its virtual steps.
         self._lead = int(cfg.tau / cfg.dt + 1e-9)
-        states = [
-            make_random_waypoint_state(
-                scenario.box, scenario.speed, scenario.duration,
-                Random(stable_seed(scenario.seed, "mobility", i)), cfg,
-            )
-            for i in range(scenario.nodes)
-        ]
-        self._build_motion(states)
+        self._build_motion()
         self._tick_index = 0
         self.nodes = [
             _Node(i, RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx))
@@ -371,39 +362,34 @@ class Simulation:
 
     # -- motion ---------------------------------------------------------------
 
-    def _build_motion(self, states: list[KinematicState]) -> None:
-        """Step every node once per tick up to duration + tau.
+    def _build_motion(self) -> None:
+        """Spawn every node and step it once per tick up to duration + tau.
 
         `_motion` holds the coordinates of every node at every tick, read
         through `_position(k, i)`; plain floats take about a fifth of the
         memory of `Vec3`s.  Each tick's row is stepped from the previous
         row's floats and each node's cursor through `motion_step`, the
-        motion law `step_random_waypoint` applies.  The waypoint predictor
-        replays this very law, so the self-prediction at tick k is the
-        position at k + `_lead`.  `_exhausted[i]` is the first tick at
-        which node i has no waypoint left (past the table if none), from
-        where prediction falls back to the slope of its position history.
+        motion law `step_random_waypoint` applies, along the node's endless
+        waypoint queue.  The waypoint predictor replays this very law, so
+        the self-prediction at tick k is the position at k + `_lead`.
         """
-        cfg = self.sc.mobility
+        sc = self.sc
+        cfg = sc.mobility
         dt, r_w = cfg.dt, cfg.r_w
-        n_steps = self._n_ticks + self._lead
+        states = [make_random_waypoint_state(sc.box, sc.speed, sc.duration,
+                                             Random(stable_seed(sc.seed, "mobility", i)), cfg)
+                  for i in range(sc.nodes)]
         motion = self._motion = array("d")
-        exhausted = self._exhausted = [n_steps + 1] * len(states)
         cursors = [s.cursor for s in states]
-        for i, s in enumerate(states):
+        for s in states:
             p = s.position
             motion.extend((p.x, p.y, p.z))
-            if cursors[i] >= len(s.waypoints):
-                exhausted[i] = 0
         j = 0
-        for k in range(1, n_steps + 1):
+        for _ in range(self._n_ticks + self._lead):
             for i, s in enumerate(states):
-                x, y, z, c = motion_step(motion[j], motion[j + 1], motion[j + 2], cursors[i],
-                                         s.waypoints, s.speed, dt, r_w)
+                x, y, z, cursors[i] = motion_step(motion[j], motion[j + 1], motion[j + 2],
+                                                  cursors[i], s.waypoints, s.speed, dt, r_w)
                 motion.extend((x, y, z))
-                cursors[i] = c
-                if k < exhausted[i] and c >= len(s.waypoints):
-                    exhausted[i] = k
                 j += 3
 
     def _position(self, k: int, i: int) -> Vec3:
@@ -426,21 +412,9 @@ class Simulation:
         gives the self-predictions at tick k gives the positions at
         k + `_lead`.
         """
-        k = self._tick_index
-        exhausted = self._exhausted
         for node, position, predicted in zip(self.nodes, self._ahead[0], self._ahead[-1]):
             node.position = position
-            if k >= exhausted[node.id]:
-                predicted = self._slope_prediction(node.id, k)
             node.routing.update_self(position, predicted)
-
-    def _slope_prediction(self, i: int, k: int) -> Vec3:
-        """The self-prediction of node i at tick k once its waypoints have
-        run out: predict_position over the state it would see, the history
-        ring of the last h positions and an empty waypoint queue."""
-        cfg = self.sc.mobility
-        history = tuple(self._position(j, i) for j in range(max(0, k - cfg.h + 1), k + 1))
-        return predict_position(KinematicState(history[-1], self.sc.speed, history=history), cfg)
 
     @property
     def trace(self) -> list[tuple[float, tuple[Vec3, ...]]]:

@@ -38,7 +38,8 @@ def test_every_hooked_name_is_bound_where_it_is_hooked():
 # Hooked layers that every run calls.  The other six are already dead, and
 # not asserted: `simulator.bound` (the bound is counted online),
 # `kinematics.step` (the motion table steps through `motion_step`),
-# `kinematics.predict` (called only once a waypoint queue runs out) and
+# `kinematics.predict` (self-predictions are read from the motion table,
+# and no waypoint queue runs out) and
 # `channel.receive`, `channel.faded` and `channel.nakagami` (the simulator
 # draws through `channel.nakagami_sampler` in `Simulation.hears`).
 LIVE_HOOKS = (

@@ -29,7 +29,7 @@ from parrot_net.campaign import (
 from parrot_net.errors import ConfigError
 from parrot_net.simulator import Scenario, run
 
-# A 5 m cube: its diagonal, 8.7 m, is below the default r_w of 10 m.
+# A 5 m cube: its diagonal, 8.7 m, is below twice the default r_w of 10 m.
 FIVE_METRE_BOX = [
     "box_x=5", "box_y=5", "box_z=5", "nodes=2", "duration=1", "warmup=0.5", "runs=1",
 ]
@@ -98,7 +98,8 @@ class TestParseConfig:
             assert part in str(err.value)
 
     def test_box_no_wider_than_r_w_rejected(self, tmp_path):
-        # Its waypoint draw would never end; the run used to hang.
+        # Every point of it lies within r_w of its centre, where a node
+        # would draw waypoints forever.
         with pytest.raises(ConfigError):
             parse_config(None, FIVE_METRE_BOX)
         path = tmp_path / "c.cfg"
@@ -106,7 +107,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(str(path), FIVE_METRE_BOX)
         assert f"{path}:1 'r_w'" in str(err.value)
-        parse_config(str(path), FIVE_METRE_BOX + ["r_w=8"])
+        parse_config(str(path), FIVE_METRE_BOX + ["r_w=4"])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -194,18 +195,18 @@ def _overrides(draw):
 
 @st.composite
 def _box_and_r_w(draw):
-    """r_w, maybe, and a box that is not positive, fits inside r_w, or is
-    roomy.  A roomy box has a side of at least 2 max(r_w, 1 m), so a leg of
-    the waypoint draw gains 1/12 m on average or more.  A box barely wider
-    than r_w is left out: its draw takes up to ~1e8 waypoints (a FOUND line
-    in CHANGES.md records it)."""
+    """r_w, maybe, and a box that is not positive, fits inside 2 r_w, or is
+    roomy: a side of at least 2 max(r_w, 1 m).  A roomy box whose other
+    sides are thin lies barely above the 2 r_w edge, where a node near the
+    centre can draw thousands of waypoints per tick (CHANGES.md records
+    the cost of that band)."""
     pairs = {}
     r_w = 10.0
     if draw(st.booleans()):
         drawn = draw(st.one_of(_floats(-5, 0), _floats(0, 50, exclude_min=True)))
         pairs["r_w"] = drawn
         r_w = drawn if drawn > 0 else r_w
-    kind = draw(st.sampled_from(["default", "roomy", "roomy", "not positive", "inside r_w"]))
+    kind = draw(st.sampled_from(["default", "roomy", "roomy", "not positive", "inside 2 r_w"]))
     if kind == "default":
         return pairs
     side = _floats(0, 1e4, exclude_min=True)
@@ -213,9 +214,9 @@ def _box_and_r_w(draw):
     axis = draw(st.integers(0, 2))
     if kind == "not positive":
         sides[axis] = draw(_floats(-10, 0))
-    elif kind == "inside r_w":
-        # A margin against rounding: the diagonal stays below r_w.
-        sides = [draw(_floats(0, 0.99 * r_w / math.sqrt(3), exclude_min=True))
+    elif kind == "inside 2 r_w":
+        # A margin against rounding: the diagonal stays below 2 r_w.
+        sides = [draw(_floats(0, 0.99 * 2 * r_w / math.sqrt(3), exclude_min=True))
                  for _ in range(3)]
     else:
         sides[axis] = draw(_floats(2 * max(r_w, 1.0), 1e4))

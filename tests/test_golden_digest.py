@@ -3,8 +3,8 @@
 One SHA-256 over every field of every `RunMetrics` of a small scenario
 matrix (protocol x channel x tau x seed, in an open and a tight box), floats
 in hex.  It pins the exact outputs, so a refactor or a speed-up that changes
-any run by one bit fails here.  The tight box is small enough that waypoint
-queues run out mid-run, so the slope fallback of self-prediction is covered.
+any run by one bit fails here.  In the tight box every node passes several
+waypoints within a run, so the queues' on-demand draws are covered.
 """
 
 import hashlib

@@ -185,19 +185,44 @@ class TestRandomWaypoint:
         assert state.history[-1] == state.position
 
 
-    @pytest.mark.parametrize("box", ["Vec3(5, 5, 5)", "Vec3(10, 1e-9, 1e-9)"])
+    def test_waypoints_are_drawn_in_spawn_then_queue_order(self):
+        # The spawn, then one uniform triple per waypoint, all from the
+        # node's generator: the order an up-front draw of the same queue has.
+        cfg = MobilityConfig()
+        box = Vec3(100, 100, 50)
+        state = make_random_waypoint_state(box, 50.0, 1.0, Random(5), cfg)
+        start = state.position
+        for _ in range(10_000):
+            if len(state.waypoints) >= 50:
+                break
+            state = step_random_waypoint(state, cfg)
+        rng = Random(5)
+        drawn = [
+            Vec3(rng.uniform(0.0, box.x), rng.uniform(0.0, box.y), rng.uniform(0.0, box.z))
+            for _ in range(51)
+        ]
+        assert start == drawn[0]
+        assert list(state.waypoints[:50]) == drawn[1:]
+
+    @pytest.mark.parametrize("box", [
+        "Vec3(5, 5, 5)", "Vec3(10, 1e-9, 1e-9)", "Vec3(8, 8, 8)", "Vec3(11, 11, 11)",
+    ])
     def test_box_no_wider_than_r_w_refused(self, box):
-        # No two points of such a box lie more than r_w = 10 apart, so no
-        # leg counts toward the queue's length and the draw never ends.  A
-        # child process with capped memory keeps an unbounded draw from
-        # hanging this test.
+        # Every point of a box whose diagonal is at most 2 r_w = 20 lies
+        # within r_w of its centre, where a node would draw waypoints
+        # forever.  A child process with capped memory keeps an unbounded
+        # draw from hanging this test.
         code = f"""
 import resource
 from random import Random
 resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-from parrot_net.kinematics import MobilityConfig, Vec3, make_random_waypoint_state
+from parrot_net.kinematics import (MobilityConfig, Vec3, make_random_waypoint_state,
+                                   step_random_waypoint)
+cfg = MobilityConfig(r_w=10.0)
 try:
-    make_random_waypoint_state({box}, 0.0, 1.0, Random(0), MobilityConfig(r_w=10.0))
+    state = make_random_waypoint_state({box}, 1.0, 1.0, Random(0), cfg)
+    for _ in range(100):
+        state = step_random_waypoint(state, cfg)
 except ValueError as exc:
     assert "r_w" in str(exc), exc
 else:

@@ -14,6 +14,7 @@ from parrot_net.kinematics import (
     MobilityConfig,
     Vec3,
     make_random_waypoint_state,
+    motion_step,
     predict_position,
     step_random_waypoint,
 )
@@ -113,11 +114,13 @@ class TestRunBasics:
             run(Scenario(box=Vec3(0, 10, 10), duration=1.0, warmup=0.0))
 
     def test_box_no_wider_than_r_w_rejected(self):
-        # Its waypoint draw would never end (make_random_waypoint_state).
+        # Every point of it lies within r_w of its centre, where a node
+        # would draw waypoints forever (make_random_waypoint_state).  The
+        # cube's diagonal is 8.66 m.
         with pytest.raises(ConfigError) as err:
             Scenario(box=Vec3(5, 5, 5), mobility=MobilityConfig(r_w=10.0)).validate()
         assert err.value.fields == ("box", "mobility.r_w")
-        Scenario(box=Vec3(5, 5, 5), mobility=MobilityConfig(r_w=8.0)).validate()
+        Scenario(box=Vec3(5, 5, 5), mobility=MobilityConfig(r_w=4.0)).validate()
 
     @pytest.mark.parametrize("name, bad, edge", [
         ("forward_jitter", -0.01, 0.0),
@@ -546,10 +549,30 @@ class TestRunInvariants:
 
 class TestMotionTable:
     """The motion table of a run against a public replay of each node with
-    `step_random_waypoint`, bit for bit.  Boxes a few r_w wide make waypoint
-    queues run out inside the run or its look-ahead, where self-prediction
-    falls back to the slope of the position history; the first example
-    runs out inside the run."""
+    `step_random_waypoint`, bit for bit.  Boxes a few r_w wide make nodes
+    reach a waypoint every few ticks, so their queues draw many waypoints
+    on demand inside the run and its look-ahead, down to a width of
+    1.5 r_w, whose diagonal is 2.25 r_w; in the first example each node
+    passes 27 to 35 waypoints in 65 ticks."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_every_node_moves_on_every_tick_of_a_reference_run(self, seed):
+        # The reference box, speed and length, with r_w >= speed * dt, so a
+        # node that has a waypoint to steer for moves on every tick.
+        sc = Scenario(seed=seed)
+        cfg = sc.mobility
+        assert cfg.r_w >= sc.speed * cfg.dt
+        ticks = int(sc.duration / cfg.dt + 1e-9) + int(cfg.tau / cfg.dt + 1e-9)
+        for i in range(sc.nodes):
+            state = make_random_waypoint_state(
+                sc.box, sc.speed, sc.duration, Random(stable_seed(seed, "mobility", i)), cfg,
+            )
+            p = state.position
+            x, y, z, k = p.x, p.y, p.z, state.cursor
+            for tick in range(1, ticks + 1):
+                before = x, y, z
+                x, y, z, k = motion_step(x, y, z, k, state.waypoints, sc.speed, cfg.dt, cfg.r_w)
+                assert (x, y, z) != before, f"node {i} stops at tick {tick}"
 
     @settings(max_examples=60, deadline=None)
     @given(
