@@ -4,10 +4,9 @@ Rural reception is the deterministic disk of radius r_TX derived from a
 log-distance link budget; urban reception multiplies the mean power by a
 Nakagami-m fading gain drawn per frame and receiver.  A unicast retry is the
 same frame: it reuses the gain that its frame drew at that receiver, and
-every new frame draws afresh (the simulator keeps the gains on the frame, in
-dB, and draws them through `nakagami_sampler`).  The same r_TX feeds the
-link-expiry metric, keeping the rural channel and the LET model mutually
-consistent.
+every new frame draws afresh.  The same r_TX feeds the link-expiry metric,
+keeping the rural channel and the LET model mutually consistent.  `Medium`
+is the fast form of `receive` for a run: one verdict per transmission.
 """
 
 from __future__ import annotations
@@ -15,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from random import Random
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import ConfigError, require, require_finite
+from .kinematics import MotionTable, distance
 
 _LIGHT_SPEED = 299_792_458.0
 
@@ -179,3 +180,74 @@ def receive(budget: LinkBudget, model: str, distance: float, rng: Random) -> boo
     if model == URBAN:
         return faded_reception(budget, distance, nakagami_gain(budget.nakagami_m, rng))
     raise ConfigError(f"unknown channel model '{model}'")
+
+
+class Medium:
+    """The channel of one run over the motion `table`, whose node i is
+    `stations[i]`; `tick(k)` moves it to tick k.  Urban gains are drawn
+    from `rng`."""
+
+    def __init__(self, budget: LinkBudget, model: str, rng: Random, table: MotionTable,
+                 stations: Sequence) -> None:
+        if model not in CHANNEL_MODELS:
+            raise ConfigError(f"unknown channel model '{model}'")
+        self.urban = model == URBAN
+        self.r_tx = compute_r_tx(budget)
+        self.sensitivity_dbm = budget.sensitivity_dbm
+        self._mean_power = path_loss_law(budget)
+        self._draw_gain = nakagami_sampler(budget.nakagami_m, rng)
+        self._table = table
+        self._n = len(stations)
+        self._others = [[o for o in stations if o is not s] for s in stations]
+        self.tick(0)
+
+    def tick(self, k: int) -> None:
+        self._base = self._table.base(k)
+        self._rows: list[list | None] = [None] * self._n
+        self._links: list[list[float] | None] = [None] * self._n
+
+    def row(self, s: int) -> list:
+        """Sender s's links at the current tick, built once per tick: rural
+        lists the stations within r_TX, urban the mean power in dBm at every
+        other station, in node order.  The link values (distances or powers)
+        are kept in `_links`; a partner's row built earlier in the tick gives
+        its value, since `distance` is symmetric bit for bit."""
+        row = self._rows[s]
+        if row is None:
+            coords, base, links = self._table.coords, self._base, self._links
+            urban, mean_power, r_tx = self.urban, self._mean_power, self.r_tx
+            j = base + 3 * s
+            x, y, z = coords[j], coords[j + 1], coords[j + 2]
+            values = []
+            for o in chain(range(s), range(s + 1, self._n)):
+                partner = links[o]
+                if partner is not None:
+                    # s sits at index s - 1 of o's others when s > o.
+                    values.append(partner[s - (s > o)])
+                    continue
+                j = base + 3 * o
+                d = distance(x, y, z, coords[j], coords[j + 1], coords[j + 2])
+                values.append(mean_power(d) if urban else d)
+            links[s] = values
+            row = values if urban else [o for o, d in zip(self._others[s], values) if d <= r_tx]
+            self._rows[s] = row
+        return row
+
+    def hears(self, frame) -> list:
+        """The stations that hear `frame` (its `sender` and `fading`) now,
+        in node order.  Urban: `faded_reception` per station, with the gains
+        in dB drawn on the frame's first verdict and kept on the frame, so a
+        retry reuses them at the mean power of the current tick."""
+        s = frame.sender
+        row = self.row(s)
+        if not self.urban:
+            return row
+        fading = frame.fading
+        if fading is None:
+            draw, log10 = self._draw_gain, math.log10
+            fading = frame.fading = [10.0 * log10(draw()) for _ in row]
+        sensitivity = self.sensitivity_dbm
+        return [
+            other for other, power, db in zip(self._others[s], row, fading)
+            if power + db >= sensitivity
+        ]

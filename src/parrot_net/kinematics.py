@@ -9,6 +9,8 @@ average velocity of the recent position history.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import deque
 from dataclasses import MISSING, dataclass, fields, replace
 from random import Random
 from typing import Sequence
@@ -57,6 +59,15 @@ def slot_init(cls: type) -> type:
     return cls
 
 
+def distance(x: float, y: float, z: float, u: float, v: float, w: float) -> float:
+    """Euclidean distance from (x, y, z) to (u, v, w), symmetric bit for
+    bit: swapping the points flips only the signs of the differences."""
+    dx = x - u
+    dy = y - v
+    dz = z - w
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 @slot_init
 @dataclass(frozen=True, slots=True)
 class Vec3:
@@ -84,7 +95,7 @@ class Vec3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def distance_to(self, other: "Vec3") -> float:
-        return (self - other).norm()
+        return distance(self.x, self.y, self.z, other.x, other.y, other.z)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
@@ -157,11 +168,7 @@ def _contain(x: float, y: float, z: float, waypoints: Sequence[Vec3], k: int,
     n = len(waypoints)
     while k < n:
         w = waypoints[k]
-        # Vec3.distance_to, operation for operation.
-        dx = x - w.x
-        dy = y - w.y
-        dz = z - w.z
-        if math.sqrt(dx * dx + dy * dy + dz * dz) <= r_w:
+        if distance(x, y, z, w.x, w.y, w.z) <= r_w:
             k += 1
             if k == n and isinstance(waypoints, WaypointQueue):
                 waypoints.draw()
@@ -179,8 +186,8 @@ def motion_step(x: float, y: float, z: float, k: int, waypoints: Sequence[Vec3],
     waypoint steered for.  The node moves speed * dt toward that waypoint,
     never past it, and a waypoint counts as reached once the node is within
     r_w of it.  A node with no waypoint left, or no speed, holds position.
-    This is the one motion law: the table of a run, `step_random_waypoint`
-    and `predict_waypoint` all step through it.
+    This is the one motion law: `MotionTable`, `step_random_waypoint` and
+    `predict_waypoint` all step through it.
     """
     k = _contain(x, y, z, waypoints, k, r_w)
     if k < len(waypoints) and speed > 0.0:
@@ -200,6 +207,79 @@ def motion_step(x: float, y: float, z: float, k: int, waypoints: Sequence[Vec3],
             z = z + gz * s
         k = _contain(x, y, z, waypoints, k, r_w)
     return x, y, z, k
+
+
+class MotionTable:
+    """The position of every node at every tick from 0 to `ticks`, each row
+    stepped from the previous one through `motion_step`, so it equals a
+    `step_random_waypoint` replay bit for bit.  `coords` holds tick k's row
+    from `base(k)` on, node i's x, y, z at `base(k) + 3 i`: plain floats
+    take about a fifth of the memory of `Vec3`s."""
+
+    def __init__(self, states: Sequence[KinematicState], cfg: MobilityConfig,
+                 ticks: int) -> None:
+        self.n, self.dt = len(states), cfg.dt
+        dt, r_w = cfg.dt, cfg.r_w
+        coords = self.coords = array("d")
+        cursors = [s.cursor for s in states]
+        for s in states:
+            p = s.position
+            coords.extend((p.x, p.y, p.z))
+        j = 0
+        for _ in range(ticks):
+            for i, s in enumerate(states):
+                x, y, z, cursors[i] = motion_step(coords[j], coords[j + 1], coords[j + 2],
+                                                  cursors[i], s.waypoints, s.speed, dt, r_w)
+                coords.extend((x, y, z))
+                j += 3
+
+    def base(self, k: int) -> int:
+        """Where tick k's row starts in `coords`."""
+        return 3 * self.n * k
+
+    def row(self, k: int) -> list[Vec3]:
+        """The positions of every node at tick k, in node order."""
+        c = self.coords
+        j = self.base(k)
+        return [Vec3(c[i], c[i + 1], c[i + 2]) for i in range(j, j + 3 * self.n, 3)]
+
+    def joined(self, k: int, r: float, src: int, dst: int) -> bool:
+        """Whether `dst` is joined to `src` in the disk graph of radius r at
+        tick k."""
+        return disk_joined(self.coords, self.base(k), self.n, r, src, dst)
+
+    def trace(self, last: int) -> list[tuple[float, tuple[Vec3, ...]]]:
+        """(time, positions) of ticks 0 to `last`."""
+        return [(k * self.dt, tuple(self.row(k))) for k in range(last + 1)]
+
+    def write(self, path: str, last: int) -> None:
+        """One `t,node,x,y,z` line per node per tick of `trace(last)`."""
+        with open(path, "w", encoding="utf-8") as out:
+            for k in range(last + 1):
+                t = k * self.dt
+                for i, p in enumerate(self.row(k)):
+                    out.write(f"{t:.6f},{i},{p.x:.6f},{p.y:.6f},{p.z:.6f}\n")
+
+
+def disk_joined(coords: Sequence[float], base: int, n: int, r: float, src: int,
+                dst: int) -> bool:
+    """Whether `dst` is joined to `src` in the disk graph of radius r over
+    n positions, kept as x, y, z floats from `coords[base]` on."""
+    seen = {src}
+    frontier = deque([src])
+    while frontier:
+        u = frontier.popleft()
+        if u == dst:
+            return True
+        j = base + 3 * u
+        x, y, z = coords[j], coords[j + 1], coords[j + 2]
+        for v in range(n):
+            if v not in seen:
+                j = base + 3 * v
+                if distance(x, y, z, coords[j], coords[j + 1], coords[j + 2]) <= r:
+                    seen.add(v)
+                    frontier.append(v)
+    return False
 
 
 def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:

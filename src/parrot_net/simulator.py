@@ -1,11 +1,14 @@
 """Deterministic event-driven network simulation.
 
-Binds random waypoint mobility, the reception models, an idealized shared-
-medium MAC, CBR traffic, and the routing protocols (predictive Q-routing,
-greedy geographic, flooding).  A run is a pure function of its scenario,
-seed included: events fire in time order with a fixed tiebreak, and all
-randomness flows through generators derived from the scenario seed with a
-stable hash, so re-runs are bit-identical.
+Holds the events, an idealized shared-medium MAC, CBR traffic, the routing
+dispatch (predictive Q-routing, greedy geographic, flooding) and the
+accounting.  The motion of a run is a `kinematics.MotionTable`, its channel
+a `channel.Medium` over that table (`Simulation.medium`, the seam through
+which a test scripts the channel), and the disk bound a search of one of
+the table's ticks (`MotionTable.joined`).  A run is a pure
+function of its scenario, seed included: events fire in time order with a
+fixed tiebreak, and all randomness flows through generators derived from
+the scenario seed with a stable hash, so re-runs are bit-identical.
 
 Each periodic source (the mobility ticks, each node's chirps, the CBR
 stream) keeps one pending event and schedules its successor when it
@@ -18,13 +21,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import channel as radio
 from .channel import LinkBudget, default_budget
@@ -32,13 +34,14 @@ from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
 from .errors import require, require_finite, within
 from .kinematics import (
     MobilityConfig,
+    MotionTable,
     Vec3,
+    disk_joined,
     make_random_waypoint_state,
-    motion_step,
     slot_init,
 )
 # Bound for perfbench/tracer.py, which hooks the names here; the motion
-# table steps through `motion_step`.
+# table steps through `kinematics.motion_step`.
 from .kinematics import predict_position, step_random_waypoint  # noqa: F401
 from .routing import Forward, RoutingParams, RoutingState
 
@@ -196,10 +199,11 @@ class _Node:
     __slots__ = ("id", "position", "routing", "queue", "transmitting", "busy", "clean",
                  "seen_flood")
 
-    def __init__(self, node_id: int, routing: RoutingState):
+    def __init__(self, node_id: int):
         self.id = node_id
         self.position = Vec3()  # at the latest mobility tick; see Simulation._place
-        self.routing = routing
+        # Set by Simulation, once its channel gives r_TX.
+        self.routing: RoutingState
         self.queue: deque[Frame] = deque()
         self.transmitting: Frame | None = None
         # Receptions on the air here, and the one frame among them still
@@ -254,7 +258,7 @@ def optimal_pdr_bound(
     for idx, count in per_snapshot.items():
         positions = trace[idx][1]
         coords = [c for p in positions for c in (p.x, p.y, p.z)]
-        if _reaches(coords, 0, len(positions), r_tx, sender, receiver):
+        if disk_joined(coords, 0, len(positions), r_tx, sender, receiver):
             reachable += count
     return reachable / len(emission_times)
 
@@ -274,32 +278,6 @@ def _first_not_before(offset: float, interval: float, k: int, limit: float) -> i
     return first
 
 
-def _reaches(coords: Sequence[float], base: int, n: int, r_tx: float, src: int,
-             dst: int) -> bool:
-    """Whether `dst` is joined to `src` in the disk graph of radius r_tx
-    over n positions, kept as x, y, z floats from `coords[base]` on."""
-    sqrt = math.sqrt
-    seen = {src}
-    frontier = deque([src])
-    while frontier:
-        u = frontier.popleft()
-        if u == dst:
-            return True
-        j = base + 3 * u
-        x, y, z = coords[j], coords[j + 1], coords[j + 2]
-        for v in range(n):
-            if v not in seen:
-                j = base + 3 * v
-                # Vec3.distance_to, operation for operation.
-                dx = x - coords[j]
-                dy = y - coords[j + 1]
-                dz = z - coords[j + 2]
-                if sqrt(dx * dx + dy * dy + dz * dz) <= r_tx:
-                    seen.add(v)
-                    frontier.append(v)
-    return False
-
-
 class Simulation:
     """One seeded run.  Use run(scenario) unless internals are needed."""
 
@@ -310,8 +288,6 @@ class Simulation:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
 
-        self.r_tx = radio.compute_r_tx(scenario.budget)
-
         self.rng_channel = Random(stable_seed(scenario.seed, "channel"))
         self.rng_mac = Random(stable_seed(scenario.seed, "mac"))
         rng_traffic = Random(stable_seed(scenario.seed, "traffic"))
@@ -321,25 +297,25 @@ class Simulation:
         # Ticks in the self-prediction horizon, as the waypoint predictor
         # counts its virtual steps.
         self._lead = int(cfg.tau / cfg.dt + 1e-9)
-        self._build_motion()
+        # Up to duration + tau: the waypoint self-prediction at tick k
+        # replays the same motion law, so it is the position at k + `_lead`.
+        self.motion = MotionTable(
+            [make_random_waypoint_state(scenario.box, scenario.speed, scenario.duration,
+                                        Random(stable_seed(scenario.seed, "mobility", i)), cfg)
+             for i in range(scenario.nodes)],
+            cfg, self._n_ticks + self._lead)
         self._tick_index = 0
-        self.nodes = [
-            _Node(i, RoutingState(i, scenario.routing, now=0.0, tau=cfg.tau, r_tx=self.r_tx))
-            for i in range(scenario.nodes)
-        ]
+        self.nodes = [_Node(i) for i in range(scenario.nodes)]
+        self.medium = radio.Medium(scenario.budget, scenario.channel, self.rng_channel,
+                                   self.motion, self.nodes)
+        # The channel's r_TX is also the link-expiry radius and the bound's.
+        for node in self.nodes:
+            node.routing = RoutingState(node.id, scenario.routing, now=0.0, tau=cfg.tau,
+                                        r_tx=self.medium.r_tx)
         # The positions of the ticks from the current one to `_lead` ahead;
         # see _place.
-        self._ahead = deque(self._vectors(k) for k in range(self._lead + 1))
+        self._ahead = deque(self.motion.row(k) for k in range(self._lead + 1))
         self._place()
-        # Link rows and link values of the current tick, per sender; see
-        # _link_row.
-        self._rows: list[list | None] = [None] * scenario.nodes
-        self._links: list[list[float] | None] = [None] * scenario.nodes
-        # Every node but the sender, per sender, in node order.
-        self._others = [[o for o in self.nodes if o is not node] for node in self.nodes]
-        self._urban = scenario.channel == radio.URBAN
-        self._mean_power = radio.path_loss_law(scenario.budget)
-        self._draw_gain = radio.nakagami_sampler(scenario.budget.nakagami_m, self.rng_channel)
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
 
@@ -362,47 +338,6 @@ class Simulation:
 
     # -- motion ---------------------------------------------------------------
 
-    def _build_motion(self) -> None:
-        """Spawn every node and step it once per tick up to duration + tau.
-
-        `_motion` holds the coordinates of every node at every tick, read
-        through `_position(k, i)`; plain floats take about a fifth of the
-        memory of `Vec3`s.  Each tick's row is stepped from the previous
-        row's floats and each node's cursor through `motion_step`, the
-        motion law `step_random_waypoint` applies, along the node's endless
-        waypoint queue.  The waypoint predictor replays this very law, so
-        the self-prediction at tick k is the position at k + `_lead`.
-        """
-        sc = self.sc
-        cfg = sc.mobility
-        dt, r_w = cfg.dt, cfg.r_w
-        states = [make_random_waypoint_state(sc.box, sc.speed, sc.duration,
-                                             Random(stable_seed(sc.seed, "mobility", i)), cfg)
-                  for i in range(sc.nodes)]
-        motion = self._motion = array("d")
-        cursors = [s.cursor for s in states]
-        for s in states:
-            p = s.position
-            motion.extend((p.x, p.y, p.z))
-        j = 0
-        for _ in range(self._n_ticks + self._lead):
-            for i, s in enumerate(states):
-                x, y, z, cursors[i] = motion_step(motion[j], motion[j + 1], motion[j + 2],
-                                                  cursors[i], s.waypoints, s.speed, dt, r_w)
-                motion.extend((x, y, z))
-                j += 3
-
-    def _position(self, k: int, i: int) -> Vec3:
-        j = 3 * (k * self.sc.nodes + i)
-        m = self._motion
-        return Vec3(m[j], m[j + 1], m[j + 2])
-
-    def _vectors(self, k: int) -> list[Vec3]:
-        """The positions of every node at tick k, in node order."""
-        m = self._motion
-        j = 3 * self.sc.nodes * k
-        return [Vec3(m[i], m[i + 1], m[i + 2]) for i in range(j, j + 3 * self.sc.nodes, 3)]
-
     def _place(self) -> None:
         """Set every node's position and self-prediction to those of the
         current tick k.
@@ -419,23 +354,7 @@ class Simulation:
     @property
     def trace(self) -> list[tuple[float, tuple[Vec3, ...]]]:
         """(time, positions) of every mobility tick run so far, t = 0 first."""
-        dt = self.sc.mobility.dt
-        return [
-            (k * dt, tuple(self._position(k, i) for i in range(self.sc.nodes)))
-            for k in range(self._tick_index + 1)
-        ]
-
-    def _write_trace(self, path: str) -> None:
-        """One line per node per tick of `trace`, read from `_motion`."""
-        dt = self.sc.mobility.dt
-        n = self.sc.nodes
-        m = self._motion
-        with open(path, "w", encoding="utf-8") as out:
-            for k in range(self._tick_index + 1):
-                t = k * dt
-                for i in range(n):
-                    j = 3 * (k * n + i)
-                    out.write(f"{t:.6f},{i},{m[j]:.6f},{m[j + 1]:.6f},{m[j + 2]:.6f}\n")
+        return self.motion.trace(self._tick_index)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -484,12 +403,11 @@ class Simulation:
         self._tick_index += 1
         ahead = self._ahead
         ahead.popleft()
-        ahead.append(self._vectors(self._tick_index + self._lead))
+        ahead.append(self.motion.row(self._tick_index + self._lead))
         self._place()
         for node in self.nodes:
             node.routing.expire(self.now)
-        self._rows = [None] * len(self.nodes)
-        self._links = [None] * len(self.nodes)
+        self.medium.tick(self._tick_index)
         self._reach = None
 
     def _emit_chirp(self, node: _Node) -> None:
@@ -514,9 +432,8 @@ class Simulation:
             # Ticks fire before emissions at equal timestamps, so the
             # current tick is the latest trace snapshot at this emission.
             if self._reach is None:
-                n = self.sc.nodes
-                self._reach = _reaches(self._motion, 3 * n * self._tick_index, n, self.r_tx,
-                                       self.sender, self.receiver)
+                self._reach = self.motion.joined(self._tick_index, self.medium.r_tx,
+                                                 self.sender, self.receiver)
             self._reachable += self._reach
         self._forward_data(self.nodes[pkt.src], pkt)
 
@@ -586,84 +503,12 @@ class Simulation:
             self.chirp_frames += 1
         # Half duplex: starting to talk corrupts anything being received here.
         node.clean = None
-        receivers = self.hears(frame)
+        receivers = self.medium.hears(frame)
         for other in receivers:
             other.clean = None if other.transmitting is not None or other.busy else frame
             other.busy += 1
         airtime = frame.size * 8 / self.sc.link_rate
         self._schedule(self.now + airtime, partial(self._tx_end, node, frame, receivers))
-
-    def _link_row(self, sender: _Node) -> list:
-        """The links of `sender` at the current tick, built on its first
-        frame after the tick from the motion table's floats: rural lists
-        the nodes within r_TX, urban the mean received power in dBm at
-        every other node, both in node order.
-
-        Building it keeps the link values, the distances under rural and
-        the powers under urban, in `_links`.  A link to a node whose row
-        was built earlier in the tick takes that node's value: d(i, j) and
-        d(j, i) differ only in the signs of dx, dy and dz, so they round
-        alike.
-        """
-        s = sender.id
-        row = self._rows[s]
-        if row is None:
-            others = self._others[s]
-            base = 3 * self.sc.nodes * self._tick_index
-            m = self._motion
-            j = base + 3 * s
-            x, y, z = m[j], m[j + 1], m[j + 2]
-            sqrt = math.sqrt
-            links = self._links
-            urban, mean_power = self._urban, self._mean_power
-            values = []
-            for other in others:
-                o = other.id
-                partner = links[o]
-                if partner is not None:
-                    # s sits at index s - 1 of o's others when s > o.
-                    values.append(partner[s - (s > o)])
-                    continue
-                j = base + 3 * o
-                # Vec3.distance_to, operation for operation.
-                dx = x - m[j]
-                dy = y - m[j + 1]
-                dz = z - m[j + 2]
-                d = sqrt(dx * dx + dy * dy + dz * dz)
-                values.append(mean_power(d) if urban else d)
-            links[s] = values
-            if urban:
-                row = values
-            else:
-                r_tx = self.r_tx
-                row = [o for o, d in zip(others, values) if d <= r_tx]
-            self._rows[s] = row
-        return row
-
-    def hears(self, frame: Frame) -> list[_Node]:
-        """The receivers of `frame` at the current tick, in node order.
-
-        The MAC asks once per transmission; it is the seam through which a
-        test scripts the channel.  Rural: the nodes within r_TX.  Urban:
-        block fading per (frame, receiver).  A frame's first verdict draws
-        the gains of every other node in node order and keeps them on the
-        frame in dB, so a unicast retry reuses them and every new frame
-        draws afresh; the mean power is that of the current tick, since a
-        retry can straddle a tick.
-        """
-        row = self._link_row(self.nodes[frame.sender])
-        if not self._urban:
-            return row
-        fading = frame.fading
-        if fading is None:
-            draw, log10 = self._draw_gain, math.log10
-            fading = frame.fading = [10.0 * log10(draw()) for _ in row]
-        # radio.faded_reception, with the mean power taken from the row.
-        sensitivity = self.sc.budget.sensitivity_dbm
-        return [
-            other for other, power, db in zip(self._others[frame.sender], row, fading)
-            if power + db >= sensitivity
-        ]
 
     def _tx_end(self, node: _Node, frame: Frame, receivers: list[_Node]) -> None:
         node.transmitting = None
@@ -769,7 +614,7 @@ class Simulation:
             self.now = time
             fn()
         if sc.trace_path is not None:
-            self._write_trace(sc.trace_path)
+            self.motion.write(sc.trace_path, self._tick_index)
         return self.collect_metrics()
 
     def collect_metrics(self) -> RunMetrics:

@@ -11,9 +11,10 @@ The benchmark modules are compiled from their sources; nothing under
 """
 
 import types
+from collections import Counter
 from pathlib import Path
 
-from parrot_net import campaign
+from parrot_net import campaign, channel, kinematics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,24 +37,51 @@ def test_every_hooked_name_is_bound_where_it_is_hooked():
 
 
 # Hooked layers that every run calls.  The other six are already dead, and
-# not asserted: `simulator.bound` (the bound is counted online),
-# `kinematics.step` (the motion table steps through `motion_step`),
+# not asserted: `simulator.bound` (the bound is counted online through
+# `kinematics.MotionTable.joined`), `kinematics.step`
+# (`kinematics.MotionTable` steps through `motion_step`, so mobility time
+# hides in `MotionTable.__init__`, inside `simulator.init.self_s`),
 # `kinematics.predict` (self-predictions are read from the motion table,
-# and no waypoint queue runs out) and
-# `channel.receive`, `channel.faded` and `channel.nakagami` (the simulator
-# draws through `channel.nakagami_sampler` in `Simulation.hears`).
+# and no waypoint queue runs out) and `channel.receive`, `channel.faded`
+# and `channel.nakagami` (the channel draws through
+# `channel.nakagami_sampler` in `channel.Medium.hears`, so channel time
+# hides there, inside `simulator.run.self_s`).
 LIVE_HOOKS = (
     "chirp.decode", "chirp.encode", "routing.handle_chirp", "routing.expire",
     "routing.select", "simulator.init", "simulator.run", "simulator.collect", "campaign",
 )
 
 
+TINY_URBAN = [
+    "protocol=parrot", "channel=urban", "nodes=3", "duration=2", "warmup=0.5",
+    "bitrate=112000", "runs=1",
+]
+
+# The layer seams a benchmark can hook, each where its caller looks it up:
+# the channel verdict and link rows, the motion law, the bound search.
+SEAMS = (
+    (channel.Medium, "hears"),
+    (channel.Medium, "row"),
+    (kinematics, "motion_step"),
+    (kinematics, "disk_joined"),
+)
+
+
+def test_every_layer_seam_is_called_where_it_is_looked_up(monkeypatch):
+    calls = Counter()
+    for owner, name in SEAMS:
+        def wrapper(*args, _fn=owner.__dict__[name], _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    campaign.run_campaign(campaign.parse_config(None, TINY_URBAN))
+    dead = [name for _, name in SEAMS if not calls[name]]
+    assert not dead, f"wrapped but never called: {dead}"
+
+
 def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
     tracer_module, checks = load("tracer"), load("checks")
-    cfg = campaign.parse_config(None, [
-        "protocol=parrot", "channel=urban", "nodes=3", "duration=2", "warmup=0.5",
-        "bitrate=112000", "runs=1",
-    ])
+    cfg = campaign.parse_config(None, TINY_URBAN)
     csv_path = tmp_path / "r.csv"
     tracer = tracer_module.Tracer()
     tracer.install()

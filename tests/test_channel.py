@@ -3,15 +3,19 @@ from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from parrot_net.channel import (
     RURAL,
     URBAN,
     LinkBudget,
+    Medium,
     budget_for_radius,
     compute_r_tx,
     default_budget,
+    faded_reception,
     mean_rx_power,
     nakagami_gain,
     nakagami_sampler,
@@ -19,6 +23,8 @@ from parrot_net.channel import (
     reference_loss_db,
 )
 from parrot_net.errors import ConfigError
+from parrot_net.kinematics import MobilityConfig, MotionTable, Vec3, make_random_waypoint_state
+from parrot_net.simulator import Frame
 
 
 class TestMeanRxPower:
@@ -175,3 +181,110 @@ def test_budget_validation():
 def test_budget_non_finite_rejected_naming_field(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be finite"):
         replace(default_budget(), **{field: value}).validate()
+
+
+def motion(seed: int, n: int, ticks: int) -> MotionTable:
+    """The motion of n nodes over ticks 0 to `ticks` in a 300 m cube, so a
+    150 m radius splits the links, at 60 m per tick, so they change."""
+    cfg = MobilityConfig(dt=1.0, tau=0.0)
+    return MotionTable([make_random_waypoint_state(Vec3(300.0, 300.0, 300.0), 60.0, 0.0,
+                                                   Random(seed * 100 + i), cfg)
+                        for i in range(n)], cfg, ticks)
+
+
+def link(table: MotionTable, k: int, s: int, o: int) -> float:
+    row = table.row(k)
+    return row[s].distance_to(row[o])
+
+
+class TestMedium:
+    """`Medium` driven over a motion table alone; station i is the integer i."""
+
+    n = 8
+    budget = budget_for_radius(150.0)
+
+    def medium(self, model, table, seed=0):
+        rng = Random(seed)
+        return Medium(self.budget, model, rng, table, list(range(self.n))), rng
+
+    def expected_row(self, model, table, k, s):
+        others = [o for o in range(self.n) if o != s]
+        if model == URBAN:
+            return [mean_rx_power(self.budget, link(table, k, s, o)) for o in others]
+        # Rural draws nothing, so `receive` needs no generator.
+        return [o for o in others if receive(self.budget, RURAL, link(table, k, s, o), None)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rural_row_lists_stations_within_r_tx_in_node_order(self, seed):
+        table = motion(seed, self.n, 0)
+        medium, rng = self.medium(RURAL, table)
+        state = rng.getstate()
+        heard = 0
+        for s in range(self.n):
+            expected = self.expected_row(RURAL, table, 0, s)
+            assert medium.row(s) == expected
+            assert medium.hears(Frame(s, None, "chirp", b"", 68)) == expected
+            heard += len(expected)
+        assert 0 < heard < self.n * (self.n - 1)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_urban_verdicts_are_faded_reception_of_drawn_gains(self, seed):
+        table = motion(seed, self.n, 0)
+        medium, _ = self.medium(URBAN, table, seed)
+        reference = Random(seed)
+        heard = 0
+        for s in (3, 0, 7, 3, 5, 1, 1, 6):  # each a new frame
+            expected = [
+                o for o in range(self.n)
+                if o != s and faded_reception(self.budget, link(table, 0, s, o),
+                                              nakagami_gain(self.budget.nakagami_m, reference))
+            ]
+            assert medium.hears(Frame(s, None, "data", None, 100)) == expected
+            heard += len(expected)
+        assert 0 < heard < 8 * (self.n - 1)
+
+    def test_retry_reuses_the_frames_gains_and_draws_nothing(self):
+        table = motion(3, self.n, 1)
+        medium, rng = self.medium(URBAN, table, 3)
+        frame = Frame(2, 5, "data", None, 100)
+        first = medium.hears(frame)
+        gains, state = list(frame.fading), rng.getstate()
+        assert len(gains) == self.n - 1
+        assert medium.hears(frame) == first
+        # A retry that straddles a tick keeps its gains at the new mean power.
+        medium.tick(1)
+        others = [o for o in range(self.n) if o != 2]
+        expected = [o for o, power, db in zip(others, self.expected_row(URBAN, table, 1, 2),
+                                              gains)
+                    if power + db >= self.budget.sensitivity_dbm]
+        assert medium.hears(frame) == expected
+        assert frame.fading == gains and rng.getstate() == state
+
+    @pytest.mark.parametrize("model", [RURAL, URBAN])
+    def test_tick_rebuilds_the_rows(self, model):
+        table = motion(4, self.n, 2)
+        medium, _ = self.medium(model, table)
+        rows = {}
+        for k in (0, 2, 1, 2):
+            medium.tick(k)
+            rows[k] = [medium.row(s) for s in range(self.n)]
+            assert repr(rows[k]) == repr([self.expected_row(model, table, k, s)
+                                          for s in range(self.n)])
+        assert rows[0] != rows[1] != rows[2]
+
+    @given(st.sampled_from([RURAL, URBAN]), st.integers(0, 999), st.integers(0, 2),
+           st.permutations(range(n)))
+    @settings(max_examples=60)
+    def test_row_built_after_its_partners_equals_one_built_fresh(self, model, seed, k, order):
+        table = motion(seed, self.n, 2)
+        medium, _ = self.medium(model, table)
+        medium.tick(k)
+        for s in order:
+            fresh, _ = self.medium(model, table)
+            fresh.tick(k)
+            assert repr(medium.row(s)) == repr(fresh.row(s))
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ConfigError):
+            Medium(self.budget, "orbital", Random(0), motion(0, 2, 0), [0, 1])

@@ -6,13 +6,16 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parrot_net.kinematics import (
     KinematicState,
     MobilityConfig,
+    MotionTable,
     Vec3,
+    disk_joined,
+    distance,
     make_random_waypoint_state,
     predict_position,
     predict_slope,
@@ -272,6 +275,86 @@ class TestPredictionAgreement:
             history=[Vec3(0, -1, 0), Vec3(0, 0, 0)],
         )
         assert predict_position(no_wp, cfg) == predict_slope(no_wp, cfg)
+
+
+class TestDistance:
+    # Unbounded finite floats: subnormal ones, and huge ones whose
+    # differences overflow to inf.
+    point = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+
+    @given(point, point)
+    @example((1e308, -1e308, 5e-324), (-1e308, 1e308, -5e-324))
+    @example((0.0, -0.0, 1e-310), (-0.0, 0.0, -1e-310))
+    @settings(max_examples=500)
+    def test_symmetric_bit_for_bit_and_equal_to_vec3(self, a, b):
+        d = distance(*a, *b)
+        assert d.hex() == distance(*b, *a).hex()
+        va, vb = Vec3(*a), Vec3(*b)
+        assert d.hex() == va.distance_to(vb).hex() == (va - vb).norm().hex()
+
+
+class TestMotionTableReplay:
+    """`MotionTable` built from spawn states, against their public replay."""
+
+    cfg = MobilityConfig(dt=0.1, tau=1.0, r_w=5.0)
+
+    def spawn(self, seed):
+        # A box a few r_w wide, so queues draw waypoints inside the table.
+        return [make_random_waypoint_state(Vec3(40.0, 40.0, 20.0), speed, 0.0,
+                                           Random(seed * 10 + i), self.cfg)
+                for i, speed in enumerate((0.0, 3.0, 12.0, 30.0))]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_step_random_waypoint_replay(self, seed):
+        ticks = 120
+        table = MotionTable(self.spawn(seed), self.cfg, ticks)
+        states = self.spawn(seed)
+        for k in range(ticks + 1):
+            # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+            assert repr(table.row(k)) == repr([s.position for s in states])
+            states = [step_random_waypoint(s, self.cfg) for s in states]
+        assert repr(table.trace(ticks)[-1]) == repr((ticks * self.cfg.dt, tuple(table.row(ticks))))
+
+    def test_write_is_the_trace_formatted(self, tmp_path):
+        table = MotionTable(self.spawn(1), self.cfg, 30)
+        path = tmp_path / "trace.txt"
+        table.write(str(path), 20)
+        trace = table.trace(20)
+        assert len(trace) == 21
+        expected = "".join(f"{t:.6f},{i},{p.x:.6f},{p.y:.6f},{p.z:.6f}\n"
+                           for t, row in trace for i, p in enumerate(row))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_joined_searches_the_ticks_own_row(self):
+        table = MotionTable(self.spawn(2), self.cfg, 40)
+        verdicts = set()
+        for k in (0, 17, 40):
+            coords = [c for p in table.row(k) for c in (p.x, p.y, p.z)]
+            for r in (5.0, 20.0, 60.0):
+                for src in range(table.n):
+                    for dst in range(table.n):
+                        verdict = table.joined(k, r, src, dst)
+                        assert verdict == disk_joined(coords, 0, table.n, r, src, dst)
+                        verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+
+@given(st.lists(st.tuples(*[st.floats(-100.0, 100.0)] * 3), min_size=2, max_size=9),
+       st.floats(1.0, 120.0), st.data())
+@settings(max_examples=200)
+def test_disk_joined_equals_connected_components(points, r, data):
+    n = len(points)
+    src = data.draw(st.integers(0, n - 1))
+    dst = data.draw(st.integers(0, n - 1))
+    vecs = [Vec3(*p) for p in points]
+    component = list(range(n))  # naive union of every pair within r
+    for a in range(n):
+        for b in range(n):
+            if vecs[a].distance_to(vecs[b]) <= r and component[a] != component[b]:
+                old = component[b]
+                component = [component[a] if c == old else c for c in component]
+    coords = [7.0, 7.0, 7.0] + [c for p in points for c in p]  # one node before base
+    assert disk_joined(coords, 3, n, r, src, dst) == (component[src] == component[dst])
 
 
 class TestPredictionError:

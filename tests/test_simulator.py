@@ -203,13 +203,16 @@ class TestMacBehavior:
             warmup=1.0, cbr_rate=56000, seed=2,
         )
 
-        class Scripted(Simulation):
-            def hears(self, frame):
-                if frame.kind == "data" and frame.attempts < 3:
-                    return []
-                return super().hears(frame)
+        sim = Simulation(sc)
+        hears = sim.medium.hears
 
-        m = Scripted(sc).run()
+        def scripted(frame):
+            if frame.kind == "data" and frame.attempts < 3:
+                return []
+            return hears(frame)
+
+        sim.medium.hears = scripted
+        m = sim.run()
         airtime = (sc.payload + sc.header_overhead) * 8 / sc.link_rate
         expected = 4 * airtime + 3 * sc.retry_backoff
         assert m.pdr == 1.0
@@ -221,13 +224,16 @@ class TestMacBehavior:
             warmup=1.0, cbr_rate=56000, seed=2,
         )
 
-        class Deaf(Simulation):
-            def hears(self, frame):
-                if frame.kind == "data":
-                    return []
-                return super().hears(frame)
+        sim = Simulation(sc)
+        hears = sim.medium.hears
 
-        m = Deaf(sc).run()
+        def deaf(frame):
+            if frame.kind == "data":
+                return []
+            return hears(frame)
+
+        sim.medium.hears = deaf
+        m = sim.run()
         assert m.delivered == 0
         assert m.drops["channel"] == m.sent
 
@@ -244,12 +250,12 @@ class TestMacBehavior:
         for _ in range(60):
             frame = Frame(sender.id, receiver.id, "data", None, 100)
             before = sim.rng_channel.getstate()
-            first = receiver in sim.hears(frame)
+            first = receiver in sim.medium.hears(frame)
             drawn = sim.rng_channel.getstate()
             assert drawn != before, "a new frame draws a fresh gain"
             for _ in range(sc.retry_limit):
                 frame.attempts += 1
-                assert (receiver in sim.hears(frame)) == first
+                assert (receiver in sim.medium.hears(frame)) == first
                 assert sim.rng_channel.getstate() == drawn, "a retry draws no gain"
             verdicts.append(first)
         assert True in verdicts and False in verdicts
@@ -393,7 +399,7 @@ class TestOnlineBound:
             sim = Simulation(sc)
             m = sim.run()
             expected = optimal_pdr_bound(
-                sim.trace, sim.r_tx, cbr_emission_times(sc), sim.sender, sim.receiver
+                sim.trace, sim.medium.r_tx, cbr_emission_times(sc), sim.sender, sim.receiver
             )
             assert m.optimal_bound == expected
 
