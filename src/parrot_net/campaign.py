@@ -3,11 +3,14 @@
 A campaign runs one scenario across a sweep axis with several seeded runs
 per point and aggregates mean values with 0.95 normal-approximation
 confidence intervals.  Output is a pure function of the configuration, base
-seed included.
+seed included: each run is a pure function of its `Scenario`, so the runs
+may execute side by side in forked worker processes (`jobs`) without
+changing a bit of it.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 from collections import defaultdict
@@ -27,6 +30,7 @@ from .kinematics import (
     prediction_error,
     step_random_waypoint,
 )
+from . import simulator
 from .simulator import DROP_CAUSES, RunMetrics, Scenario, run, stable_seed
 
 # Columns are frozen; emit_csv and its golden-header test depend on the order.
@@ -52,6 +56,14 @@ SWEEPABLE = ("alpha", "gamma0", "tau", "nodes", "speed_kmh")
 _KMH_PER_MPS = 3.6
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 @dataclass
 class CampaignConfig:
     scenario: Scenario
@@ -61,9 +73,12 @@ class CampaignConfig:
     base_seed: int = 1
     out_dir: str = "."
     trace: bool = False
+    # Most worker processes that run the campaign's runs side by side.
+    jobs: int = field(default_factory=usable_cores)
 
     def validate(self) -> None:
         require(self.runs >= 1, "runs", self.runs, "be >= 1")
+        require(self.jobs >= 1, "jobs", self.jobs, "be >= 1")
         require(self.sweep in SWEEPABLE, "sweep", self.sweep, f"be one of {SWEEPABLE}")
         require(bool(self.sweep_values), "sweep_values", self.sweep_values, "not be empty")
         for value in self.sweep_values:
@@ -118,7 +133,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "chirp_interval": (_parse_float, "routing.chirp_interval"),
     "dt": (_parse_float, "mobility.dt"),
     "r_w": (_parse_float, "mobility.r_w"),
-    "history": (int, "mobility.h"),
     "neighbor_timeout": (_parse_float, "routing.neighbor_timeout"),
     "entry_timeout": (_parse_float, "routing.entry_timeout"),
     "cohesion_window": (_parse_float, "routing.cohesion_window"),
@@ -138,9 +152,10 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "sweep_values": (_parse_values, "sweep_values"),
     "out": (str, "out_dir"),
     "trace": (_parse_bool, "trace"),
+    "jobs": (int, "jobs"),
 }
 
-_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace")
+_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace", "jobs")
 
 
 def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
@@ -265,22 +280,96 @@ def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
     """Execute every (sweep value, run index) cell and return per-point runs.
 
     With `cfg.trace` set, each run writes its position trace into
-    `cfg.out_dir`.
+    `cfg.out_dir`.  The cells run in up to `cfg.jobs` forked workers, no
+    more than there are cells or usable cores, and their metrics come back
+    in cell order.  They run in this process instead where that would be
+    fewer than 2 workers, where `os.fork` does not exist, and where
+    `campaign.run` is not `simulator.run`: a wrapper installed there (a
+    tracer, a test) sees every run only if the runs stay here.
     """
     cfg.validate()
-    results = []
+    cells = []
     for value in cfg.sweep_values:
         base = apply_sweep(cfg.scenario, cfg.sweep, value)
-        metrics = []
         for run_index in range(cfg.runs):
             seed = derive_run_seed(cfg.base_seed, cfg.sweep, value, run_index)
             scenario = replace(base, seed=seed)
             if cfg.trace:
                 name = f"trace_{cfg.sweep}_{value:g}_run{run_index}.txt"
                 scenario = replace(scenario, trace_path=os.path.join(cfg.out_dir, name))
-            metrics.append(run(scenario))
-        results.append(PointResult(cfg.sweep, value, metrics))
-    return results
+            cells.append(scenario)
+    workers = min(cfg.jobs, len(cells), usable_cores())
+    if workers >= 2 and hasattr(os, "fork") and run is simulator.run:
+        metrics = _run_forked(cells, workers)
+    else:
+        metrics = [run(scenario) for scenario in cells]
+    return [PointResult(cfg.sweep, value, metrics[i * cfg.runs:(i + 1) * cfg.runs])
+            for i, value in enumerate(cfg.sweep_values)]
+
+
+def _run_forked(cells: list[Scenario], workers: int) -> list[RunMetrics]:
+    """Run the cells in `workers` forked processes, worker w taking cells
+    w, w + workers, ..., and return their metrics in cell order.
+
+    Each worker sends its metrics back through its own pipe, as `marshal`
+    data of their field dicts, and ends.  A worker's exception is pickled
+    and re-raised here with its own type.  On any error, or an interrupt,
+    every worker still running is killed and reaped.
+    """
+    from signal import SIGKILL
+
+    metrics: list[RunMetrics | None] = [None] * len(cells)
+    pids: list[int] = []  # the workers not yet reaped
+    pipes = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    code = _work(write_fd, cells[w::workers])
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(open(read_fd, "rb"))
+        for w, (pid, pipe) in enumerate(zip(list(pids), pipes)):
+            data = pipe.read()
+            os.waitpid(pid, 0)
+            pids.remove(pid)
+            if not data:
+                raise RuntimeError(f"campaign worker {pid} ended without a result")
+            ok, payload = marshal.loads(data)
+            if not ok:
+                import pickle
+                raise pickle.loads(payload)
+            metrics[w::workers] = [RunMetrics(**fields) for fields in payload]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return metrics
+
+
+def _work(write_fd: int, cells: list[Scenario]) -> int:
+    """The body of a forked worker: run the cells, write the outcome to
+    `write_fd` and return the worker's exit code."""
+    try:
+        payload = marshal.dumps((True, [vars(run(scenario)) for scenario in cells]))
+        code = 0
+    except BaseException as exc:
+        # Sent to the parent, which re-raises it.  One that cannot be
+        # pickled ends the worker with nothing written.
+        import pickle
+        payload = marshal.dumps((False, pickle.dumps(exc)))
+        code = 1
+    with open(write_fd, "wb") as pipe:
+        pipe.write(payload)
+    return code
 
 
 def _mean(values) -> float:
@@ -374,6 +463,12 @@ def prediction_accuracy_study(
 
     Predictions made at every tick are scored against the true position one
     horizon later.  Returns mean errors in meters keyed by method.
+
+    The waypoint error is 0.0 by construction: `predict_waypoint` replays
+    `motion_step` over the same endless waypoint queue that the trajectory
+    itself draws from, so its prediction is the true position.  That
+    figure checks replay consistency, not an estimate; the slope and
+    hold-position figures are measured errors.
     """
     horizon_ticks = int(cfg.tau / cfg.dt + 1e-9)
     errors = {"waypoint": [], "slope": [], "naive": []}

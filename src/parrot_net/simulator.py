@@ -613,6 +613,10 @@ class Simulation:
                 break
             self.now = time
             fn()
+        # The pending events hold bound methods of this simulation; drop
+        # them so that a finished run is freed at once, not at the next
+        # full collection.
+        self._heap.clear()
         if sc.trace_path is not None:
             self.motion.write(sc.trace_path, self._tick_index)
         return self.collect_metrics()

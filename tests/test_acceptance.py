@@ -255,8 +255,10 @@ def test_criterion_5_prediction_accuracy_direction():
     assert abs(e_naive - 34.722) < 1e-2
     assert errors["waypoint"] < errors["slope"] < e_naive
     assert errors["waypoint"] < 5.0
-    report(5, f"waypoint {errors['waypoint']:.3f} m < slope {errors['slope']:.3f} m "
-              f"< v*tau {e_naive:.2f} m")
+    # The waypoint figure is 0 by construction: the predictor replays the
+    # motion it is scored against, so it checks replay consistency.
+    report(5, f"waypoint {errors['waypoint']:.3f} m (replay consistency, 0 by construction) "
+              f"< slope {errors['slope']:.3f} m < v*tau {e_naive:.2f} m")
 
 
 # Desk-scale campaign shared by the tau-benefit and protocol-ordering

@@ -81,7 +81,10 @@ def test_every_layer_seam_is_called_where_it_is_looked_up(monkeypatch):
 
 def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
     tracer_module, checks = load("tracer"), load("checks")
-    cfg = campaign.parse_config(None, TINY_URBAN)
+    # Several cells, and as many workers as cores: the tracer wraps
+    # `campaign.run`, so every cell must still run in this process.
+    cfg = campaign.parse_config(None, TINY_URBAN + ["runs=2", "sweep_values=0.3,0.7"])
+    cells = len(cfg.sweep_values) * cfg.runs
     csv_path = tmp_path / "r.csv"
     tracer = tracer_module.Tracer()
     tracer.install()
@@ -94,6 +97,7 @@ def test_traced_campaign_counts_its_layers_and_passes_the_checks(tmp_path):
     chirp_frames = sum(m.chirp_frames for point in results for m in point.metrics)
     layers = tracer.layer_metrics(chirp_frames)
     assert layers["routing.handle_chirp.calls"] > 0
+    assert tracer.calls["simulator.run"] == cells
     dead = [key for key in LIVE_HOOKS if not tracer.calls[key]]
     assert not dead, f"hooked but never called: {dead}"
     checks.check_arm(cfg, results, csv_path.read_text(encoding="utf-8"), "tiny",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parrot_net import cli
+from parrot_net import campaign, cli
 from parrot_net.campaign import (
     CSV_COLUMNS,
     SWEEPABLE,
@@ -25,6 +25,7 @@ from parrot_net.campaign import (
     parse_config,
     percentile,
     run_campaign,
+    usable_cores,
 )
 from parrot_net.errors import ConfigError
 from parrot_net.simulator import Scenario, run
@@ -164,7 +165,6 @@ _VALUES = {
     "tau": _floats(-1, 10),
     "chirp_interval": st.one_of(_floats(-1, 0), _floats(1e-3, 2)),
     "dt": st.one_of(_floats(-1, 0), _floats(1e-3, 1)),
-    "history": st.integers(-1, 20),
     "neighbor_timeout": _floats(-1, 5),
     "entry_timeout": _floats(-1, 5),
     "cohesion_window": _floats(-1, 2),
@@ -180,6 +180,7 @@ _VALUES = {
     "forward_jitter": _floats(-0.01, 0.1),
     "seed": st.integers(-(2**70), 2**70),
     "runs": st.integers(-1, 100),
+    "jobs": st.integers(-1, 8),
     "sweep": st.sampled_from(SWEEPABLE + ("dt",)),
     "sweep_values": st.lists(_floats(-2, 5), max_size=3).map(
         lambda values: ",".join(map(repr, values))),
@@ -482,6 +483,103 @@ class TestCli:
         assert len(traces) == 1
         line = traces[0].read_text().splitlines()[0]
         assert len(line.split(",")) == 5
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# Two sweep points of two runs: four cells, whose metrics all differ, so a
+# cell gathered out of order shows.
+PARALLEL = TINY + [
+    "nodes=6", "box_x=400", "box_y=400", "runs=2", "sweep_values=0.3,0.7", "trace=true",
+]
+
+
+@pytest.fixture
+def count_forks(monkeypatch):
+    """Count the workers that campaigns fork from this process."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.skipif(usable_cores() < 2, reason="needs 2 usable cores")
+class TestParallelCells:
+    def run_into(self, out, *extra):
+        cfg = parse_config(None, PARALLEL + [f"out={out}", *extra])
+        out.mkdir()
+        results = run_campaign(cfg)
+        emit_csv(results, str(out / "r.csv"))
+        return results
+
+    def test_workers_change_no_output(self, tmp_path, count_forks):
+        serial = self.run_into(tmp_path / "serial", "jobs=1")
+        assert count_forks == []
+        parallel = self.run_into(tmp_path / "parallel", "jobs=2")
+        assert len(count_forks) == 2
+        _no_child_left()
+        assert parallel == serial
+        cells = [m for point in serial for m in point.metrics]
+        assert all(a != b for i, a in enumerate(cells) for b in cells[:i])
+        names = sorted(path.name for path in (tmp_path / "serial").iterdir())
+        assert len(names) == 5
+        assert names == sorted(path.name for path in (tmp_path / "parallel").iterdir())
+        for name in names:
+            assert ((tmp_path / "parallel" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes()), name
+
+    def test_no_more_workers_than_cells(self, count_forks, monkeypatch):
+        monkeypatch.setattr(campaign, "usable_cores", lambda: 8)
+        run_campaign(parse_config(None, TINY + ["runs=3", "jobs=8"]))
+        assert len(count_forks) == 3
+        run_campaign(parse_config(None, TINY + ["runs=1", "jobs=8"]))
+        assert len(count_forks) == 3
+        _no_child_left()
+
+    def test_cells_stay_here_without_fork(self, monkeypatch):
+        expected = run_campaign(parse_config(None, TINY + ["runs=2", "jobs=1"]))
+        monkeypatch.delattr(os, "fork")
+        assert run_campaign(parse_config(None, TINY + ["runs=2", "jobs=2"])) == expected
+
+    @pytest.mark.parametrize("failing_run", [0, 1])
+    def test_worker_error_keeps_its_type(self, tmp_path, failing_run):
+        # A directory where a run's trace file goes: that run cannot
+        # write it.  Run 0 fails in the first worker while the second may
+        # still be running; run 1 fails in the second.
+        (tmp_path / f"trace_alpha_0.3_run{failing_run}.txt").mkdir()
+        cfg = parse_config(None, PARALLEL + [f"out={tmp_path}", "jobs=2"])
+        with pytest.raises(IsADirectoryError):
+            run_campaign(cfg)
+        _no_child_left()
+
+    def test_worker_error_exits_two(self, tmp_path, capsys):
+        (tmp_path / "trace_alpha_0.7_run1.txt").mkdir()
+        code = cli.main(["run"] + [f"--set={kv}" for kv in PARALLEL]
+                        + ["--out", str(tmp_path), "--jobs", "2"])
+        assert code == 2
+        assert "I/O error" in capsys.readouterr().err
+        _no_child_left()
+
+
+def test_jobs_flag_error_names_the_flag(capsys):
+    assert cli.main(["run", "--jobs", "0"]) == 1
+    assert "config error: --jobs 'jobs': jobs 0 must be >= 1" in capsys.readouterr().err
+
+
+def test_history_key_is_retired():
+    with pytest.raises(ConfigError) as err:
+        parse_config(None, ["history=5"])
+    assert "unknown key 'history'" in str(err.value)
 
 
 def test_library_runs_a_campaign_without_numpy(tmp_path):

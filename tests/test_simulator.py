@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -501,6 +503,25 @@ class TestRunLengthMemory:
             tracemalloc.stop()
         del sim
         assert traced - motion_bytes < 0.5 * 2**20
+
+    @pytest.mark.parametrize("channel", ["rural", "urban"])
+    def test_finished_run_is_freed_without_a_collection(self, channel):
+        # Events still pending at the end of the run hold bound methods of
+        # the simulation; left on its heap they would make it cyclic
+        # garbage that only a full collection frees.  The last packet,
+        # emitted at 9.8 s, ends its first hop at 9.80048 s, and its
+        # re-broadcasts are still on the air when the run ends.
+        sim = Simulation(quiet_flood_scenario(duration=9.8005, channel=channel))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestFloodConservation:
