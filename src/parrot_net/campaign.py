@@ -4,13 +4,12 @@ A campaign runs one scenario across a sweep axis with several seeded runs
 per point and aggregates mean values with 0.95 normal-approximation
 confidence intervals.  Output is a pure function of the configuration, base
 seed included: each run is a pure function of its `Scenario`, so the runs
-may execute side by side in forked worker processes (`jobs`) without
-changing a bit of it.
+may execute side by side in forked worker processes, one per usable
+core, without changing a bit of it.
 """
 
 from __future__ import annotations
 
-import marshal
 import math
 import os
 from collections import defaultdict
@@ -73,12 +72,9 @@ class CampaignConfig:
     base_seed: int = 1
     out_dir: str = "."
     trace: bool = False
-    # Most worker processes that run the campaign's runs side by side.
-    jobs: int = field(default_factory=usable_cores)
 
     def validate(self) -> None:
         require(self.runs >= 1, "runs", self.runs, "be >= 1")
-        require(self.jobs >= 1, "jobs", self.jobs, "be >= 1")
         require(self.sweep in SWEEPABLE, "sweep", self.sweep, f"be one of {SWEEPABLE}")
         require(bool(self.sweep_values), "sweep_values", self.sweep_values, "not be empty")
         for value in self.sweep_values:
@@ -152,10 +148,9 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "sweep_values": (_parse_values, "sweep_values"),
     "out": (str, "out_dir"),
     "trace": (_parse_bool, "trace"),
-    "jobs": (int, "jobs"),
 }
 
-_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace", "jobs")
+_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace")
 
 
 def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
@@ -280,12 +275,15 @@ def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
     """Execute every (sweep value, run index) cell and return per-point runs.
 
     With `cfg.trace` set, each run writes its position trace into
-    `cfg.out_dir`.  The cells run in up to `cfg.jobs` forked workers, no
-    more than there are cells or usable cores, and their metrics come back
-    in cell order.  They run in this process instead where that would be
+    `cfg.out_dir`.  The cells run in forked workers, one per usable core
+    but no more than there are cells, and their metrics come back in cell
+    order; a process whose CPU affinity is narrowed (`taskset`) uses fewer
+    workers.  The cells run in this process instead where that would be
     fewer than 2 workers, where `os.fork` does not exist, and where
-    `campaign.run` is not `simulator.run`: a wrapper installed there (a
-    tracer, a test) sees every run only if the runs stay here.
+    `campaign.run` is not `simulator.run`.  Only a wrapper on `campaign.run`
+    keeps the runs here: a tracer or test installed there sees every run,
+    while one on a deeper seam (`channel.Medium.hears`, say) sees none of
+    the runs that leave for workers.
     """
     cfg.validate()
     cells = []
@@ -298,7 +296,7 @@ def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
                 name = f"trace_{cfg.sweep}_{value:g}_run{run_index}.txt"
                 scenario = replace(scenario, trace_path=os.path.join(cfg.out_dir, name))
             cells.append(scenario)
-    workers = min(cfg.jobs, len(cells), usable_cores())
+    workers = min(len(cells), usable_cores())
     if workers >= 2 and hasattr(os, "fork") and run is simulator.run:
         metrics = _run_forked(cells, workers)
     else:
@@ -311,25 +309,33 @@ def _run_forked(cells: list[Scenario], workers: int) -> list[RunMetrics]:
     """Run the cells in `workers` forked processes, worker w taking cells
     w, w + workers, ..., and return their metrics in cell order.
 
-    Each worker sends its metrics back through its own pipe, as `marshal`
-    data of their field dicts, and ends.  A worker's exception is pickled
-    and re-raised here with its own type.  On any error, or an interrupt,
-    every worker still running is killed and reaped.
+    Each worker pickles its metrics, or its exception, into its own pipe
+    and ends; an exception is re-raised here with its own type.  On any
+    error, or an interrupt, every worker still running is killed and
+    reaped.  A worker whose parent is gone (ended by a signal that skips
+    this cleanup) ends before its next cell.
     """
+    import pickle
     from signal import SIGKILL
 
+    parent = os.getpid()
     metrics: list[RunMetrics | None] = [None] * len(cells)
     pids: list[int] = []  # the workers not yet reaped
     pipes = []
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 code = 1
                 try:
                     os.close(read_fd)
-                    code = _work(write_fd, cells[w::workers])
+                    code = _work(write_fd, cells[w::workers], parent)
                 finally:
                     os._exit(code)
             os.close(write_fd)
@@ -341,11 +347,10 @@ def _run_forked(cells: list[Scenario], workers: int) -> list[RunMetrics]:
             pids.remove(pid)
             if not data:
                 raise RuntimeError(f"campaign worker {pid} ended without a result")
-            ok, payload = marshal.loads(data)
+            ok, payload = pickle.loads(data)
             if not ok:
-                import pickle
-                raise pickle.loads(payload)
-            metrics[w::workers] = [RunMetrics(**fields) for fields in payload]
+                raise payload
+            metrics[w::workers] = payload
     finally:
         for pipe in pipes:
             pipe.close()
@@ -355,20 +360,26 @@ def _run_forked(cells: list[Scenario], workers: int) -> list[RunMetrics]:
     return metrics
 
 
-def _work(write_fd: int, cells: list[Scenario]) -> int:
+def _work(write_fd: int, cells: list[Scenario], parent: int) -> int:
     """The body of a forked worker: run the cells, write the outcome to
-    `write_fd` and return the worker's exit code."""
+    `write_fd` and return the worker's exit code.  Once `parent` is no
+    longer its parent, nobody reads the outcome, so it stops at once."""
+    import pickle
+
     try:
-        payload = marshal.dumps((True, [vars(run(scenario)) for scenario in cells]))
-        code = 0
+        results = []
+        for scenario in cells:
+            if os.getppid() != parent:
+                return 1
+            results.append(run(scenario))
+        outcome, code = (True, results), 0
     except BaseException as exc:
         # Sent to the parent, which re-raises it.  One that cannot be
         # pickled ends the worker with nothing written.
-        import pickle
-        payload = marshal.dumps((False, pickle.dumps(exc)))
-        code = 1
+        outcome, code = (False, exc), 1
+    data = pickle.dumps(outcome)
     with open(write_fd, "wb") as pipe:
-        pipe.write(payload)
+        pipe.write(data)
     return code
 
 

@@ -2,10 +2,10 @@
 
     parrot-net run [--config FILE] [--set key=value]... [--seed N] [--runs N]
                    [--protocol parrot|greedy|flood] [--channel rural|urban]
-                   [--out DIR] [--trace] [--jobs N]
+                   [--out DIR] [--trace]
 
-`--jobs N` runs the campaign's seeded runs in up to N forked worker
-processes (default: one per usable core); the output does not depend on it.
+A campaign's seeded runs execute side by side in forked worker processes,
+one per usable core; the output does not depend on how many there are.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error.
 """
@@ -36,9 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory for results.csv")
     run_p.add_argument("--trace", action="store_true",
                        help="write per-run position traces next to the CSV")
-    run_p.add_argument("--jobs", type=int,
-                       help="most worker processes running seeded runs side by side "
-                            "(default: the usable cores)")
     return parser
 
 
@@ -48,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     # Each flag sets the configuration key of its name.
     flags = {
         flag: str(getattr(args, flag))
-        for flag in ("seed", "runs", "protocol", "channel", "out", "jobs")
+        for flag in ("seed", "runs", "protocol", "channel", "out")
         if getattr(args, flag) is not None
     }
     if args.trace:

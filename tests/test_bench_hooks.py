@@ -68,6 +68,9 @@ SEAMS = (
 
 
 def test_every_layer_seam_is_called_where_it_is_looked_up(monkeypatch):
+    # A wrapper on a seam below `campaign.run` sees only the runs made in
+    # this process, so the cells run here, one after another.
+    monkeypatch.setattr(campaign, "usable_cores", lambda: 1)
     calls = Counter()
     for owner, name in SEAMS:
         def wrapper(*args, _fn=owner.__dict__[name], _name=name, **kwargs):

@@ -1,8 +1,10 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -180,7 +182,6 @@ _VALUES = {
     "forward_jitter": _floats(-0.01, 0.1),
     "seed": st.integers(-(2**70), 2**70),
     "runs": st.integers(-1, 100),
-    "jobs": st.integers(-1, 8),
     "sweep": st.sampled_from(SWEEPABLE + ("dt",)),
     "sweep_values": st.lists(_floats(-2, 5), max_size=3).map(
         lambda values: ",".join(map(repr, values))),
@@ -513,19 +514,45 @@ def count_forks(monkeypatch):
     return forks
 
 
+def _cores(monkeypatch, n):
+    """Let campaigns see `n` usable cores, and so start up to `n` workers."""
+    monkeypatch.setattr(campaign, "usable_cores", lambda: n)
+
+
+def _children(pid):
+    """The live processes whose parent is `pid`, read from /proc."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _alive(int(entry), parent=pid):
+            kids.append(int(entry))
+    return kids
+
+
+def _alive(pid, parent=None):
+    """Whether `pid` runs (a zombie has ended), with parent `parent` if given."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+    except (OSError, ValueError):
+        return False
+    return state != "Z" and parent in (None, int(ppid))
+
+
 @pytest.mark.skipif(usable_cores() < 2, reason="needs 2 usable cores")
 class TestParallelCells:
-    def run_into(self, out, *extra):
-        cfg = parse_config(None, PARALLEL + [f"out={out}", *extra])
+    def run_into(self, out):
+        cfg = parse_config(None, PARALLEL + [f"out={out}"])
         out.mkdir()
         results = run_campaign(cfg)
         emit_csv(results, str(out / "r.csv"))
         return results
 
-    def test_workers_change_no_output(self, tmp_path, count_forks):
-        serial = self.run_into(tmp_path / "serial", "jobs=1")
+    def test_workers_change_no_output(self, tmp_path, count_forks, monkeypatch):
+        _cores(monkeypatch, 1)
+        serial = self.run_into(tmp_path / "serial")
         assert count_forks == []
-        parallel = self.run_into(tmp_path / "parallel", "jobs=2")
+        _cores(monkeypatch, 2)
+        parallel = self.run_into(tmp_path / "parallel")
         assert len(count_forks) == 2
         _no_child_left()
         assert parallel == serial
@@ -539,41 +566,88 @@ class TestParallelCells:
                     == (tmp_path / "serial" / name).read_bytes()), name
 
     def test_no_more_workers_than_cells(self, count_forks, monkeypatch):
-        monkeypatch.setattr(campaign, "usable_cores", lambda: 8)
-        run_campaign(parse_config(None, TINY + ["runs=3", "jobs=8"]))
+        _cores(monkeypatch, 8)
+        run_campaign(parse_config(None, TINY + ["runs=3"]))
         assert len(count_forks) == 3
-        run_campaign(parse_config(None, TINY + ["runs=1", "jobs=8"]))
+        run_campaign(parse_config(None, TINY + ["runs=1"]))
         assert len(count_forks) == 3
         _no_child_left()
 
     def test_cells_stay_here_without_fork(self, monkeypatch):
-        expected = run_campaign(parse_config(None, TINY + ["runs=2", "jobs=1"]))
+        _cores(monkeypatch, 1)
+        expected = run_campaign(parse_config(None, TINY + ["runs=2"]))
+        _cores(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
-        assert run_campaign(parse_config(None, TINY + ["runs=2", "jobs=2"])) == expected
+        assert run_campaign(parse_config(None, TINY + ["runs=2"])) == expected
 
     @pytest.mark.parametrize("failing_run", [0, 1])
-    def test_worker_error_keeps_its_type(self, tmp_path, failing_run):
+    def test_worker_error_keeps_its_type(self, tmp_path, failing_run, monkeypatch):
         # A directory where a run's trace file goes: that run cannot
         # write it.  Run 0 fails in the first worker while the second may
         # still be running; run 1 fails in the second.
+        _cores(monkeypatch, 2)
         (tmp_path / f"trace_alpha_0.3_run{failing_run}.txt").mkdir()
-        cfg = parse_config(None, PARALLEL + [f"out={tmp_path}", "jobs=2"])
+        cfg = parse_config(None, PARALLEL + [f"out={tmp_path}"])
         with pytest.raises(IsADirectoryError):
             run_campaign(cfg)
         _no_child_left()
 
-    def test_worker_error_exits_two(self, tmp_path, capsys):
+    def test_worker_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        _cores(monkeypatch, 2)
         (tmp_path / "trace_alpha_0.7_run1.txt").mkdir()
         code = cli.main(["run"] + [f"--set={kv}" for kv in PARALLEL]
-                        + ["--out", str(tmp_path), "--jobs", "2"])
+                        + ["--out", str(tmp_path)])
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
         _no_child_left()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_failed_fork_leaks_nothing(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        fork = os.fork
 
-def test_jobs_flag_error_names_the_flag(capsys):
-    assert cli.main(["run", "--jobs", "0"]) == 1
-    assert "config error: --jobs 'jobs': jobs 0 must be >= 1" in capsys.readouterr().err
+        def second_fails():
+            if forks:
+                raise BlockingIOError("fork: out of processes")
+            forks.append(fork())
+            return forks[-1]
+
+        forks = []
+        monkeypatch.setattr(os, "fork", second_fails)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_campaign(parse_config(None, TINY + ["runs=2"]))
+        _no_child_left()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_of_a_killed_campaign_end(self, tmp_path):
+        # Two workers of 30 cells, each cell about 0.25 s: a worker that
+        # ran on after its parent was killed would live for seconds more.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        argv = [sys.executable, "-m", "parrot_net.cli", "run", "--runs", "60",
+                "--out", str(tmp_path)]
+        argv += [f"--set={kv}" for kv in TINY + ["duration=150"]]
+        proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 3
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, workers))
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(_alive, workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_history_key_is_retired():
