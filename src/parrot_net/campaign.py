@@ -271,19 +271,27 @@ class PointResult:
     metrics: list[RunMetrics]
 
 
+def campaign(scenarios: list[Scenario]) -> list[RunMetrics]:
+    """Run every scenario and return their metrics in the same order.
+
+    The runs take place in forked workers, one per usable core (`taskset`
+    narrows them) but no more than there are scenarios.  They stay in this
+    process where that would be fewer than 2 workers, where `os.fork` does
+    not exist, and where `campaign.run` is not `simulator.run`: a wrapper
+    there, such as a tracer, sees every run, while one on a deeper seam
+    (`channel.Medium.hears`, say) sees no run that leaves for a worker.
+    """
+    workers = min(len(scenarios), usable_cores())
+    if workers >= 2 and hasattr(os, "fork") and run is simulator.run:
+        return _run_forked(scenarios, workers)
+    return [run(scenario) for scenario in scenarios]
+
+
 def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
     """Execute every (sweep value, run index) cell and return per-point runs.
 
     With `cfg.trace` set, each run writes its position trace into
-    `cfg.out_dir`.  The cells run in forked workers, one per usable core
-    but no more than there are cells, and their metrics come back in cell
-    order; a process whose CPU affinity is narrowed (`taskset`) uses fewer
-    workers.  The cells run in this process instead where that would be
-    fewer than 2 workers, where `os.fork` does not exist, and where
-    `campaign.run` is not `simulator.run`.  Only a wrapper on `campaign.run`
-    keeps the runs here: a tracer or test installed there sees every run,
-    while one on a deeper seam (`channel.Medium.hears`, say) sees none of
-    the runs that leave for workers.
+    `cfg.out_dir`.  The cells run through `campaign`.
     """
     cfg.validate()
     cells = []
@@ -296,11 +304,7 @@ def run_campaign(cfg: CampaignConfig) -> list[PointResult]:
                 name = f"trace_{cfg.sweep}_{value:g}_run{run_index}.txt"
                 scenario = replace(scenario, trace_path=os.path.join(cfg.out_dir, name))
             cells.append(scenario)
-    workers = min(len(cells), usable_cores())
-    if workers >= 2 and hasattr(os, "fork") and run is simulator.run:
-        metrics = _run_forked(cells, workers)
-    else:
-        metrics = [run(scenario) for scenario in cells]
+    metrics = campaign(cells)
     return [PointResult(cfg.sweep, value, metrics[i * cfg.runs:(i + 1) * cfg.runs])
             for i, value in enumerate(cfg.sweep_values)]
 

@@ -119,7 +119,8 @@ def default_budget() -> LinkBudget:
 
 
 def nakagami_gain(m: float, rng: Random) -> float:
-    """Nakagami-m power gain: Gamma with shape m and mean 1."""
+    """Nakagami-m power gain: Gamma with shape m and mean 1.  An oracle:
+    `TestMedium` ties `Medium` to it, and `perfbench/` binds the name."""
     return rng.gammavariate(m, 1.0 / m)
 
 
@@ -161,7 +162,8 @@ def nakagami_sampler(m: float, rng: Random) -> Callable[[], float]:
 
 def faded_reception(budget: LinkBudget, distance: float, gain: float) -> bool:
     """Urban verdict for a given fading power gain: the faded power at the
-    given distance meets the receiver sensitivity."""
+    given distance meets the receiver sensitivity.  An oracle: `TestMedium`
+    ties `Medium` to it, and `perfbench/` binds the name."""
     return mean_rx_power(budget, distance) + 10.0 * math.log10(gain) >= budget.sensitivity_dbm
 
 
@@ -173,7 +175,8 @@ def receive(budget: LinkBudget, model: str, distance: float, rng: Random) -> boo
     granularity), so a call stands for a new frame.  A retry of a frame
     already heard once is not a new frame: it reuses that frame's gain at the
     receiver through `faded_reception`, with the mean power taken at the
-    current distance.
+    current distance.  An oracle: a run asks `Medium` instead, `TestMedium`
+    ties `Medium` to this, and `perfbench/` binds the name.
     """
     if model == RURAL:
         return distance <= compute_r_tx(budget)

@@ -97,9 +97,6 @@ class Vec3:
     def distance_to(self, other: "Vec3") -> float:
         return distance(self.x, self.y, self.z, other.x, other.y, other.z)
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 @dataclass(frozen=True, slots=True)
 class MobilityConfig:
@@ -313,7 +310,9 @@ def predict_slope(state: KinematicState, cfg: MobilityConfig) -> Vec3:
 
 
 def predict_position(state: KinematicState, cfg: MobilityConfig) -> Vec3:
-    """Preferred predictor: waypoint-aware when a trajectory is known."""
+    """Preferred predictor: waypoint-aware when a trajectory is known.  An
+    oracle: a run reads its `MotionTable` instead, `TestMotionTable` compares
+    the two, and `perfbench/` binds the name."""
     if state.remaining_waypoints() > 0:
         return predict_waypoint(state, cfg)
     if len(state.history) >= 2:
@@ -327,6 +326,8 @@ def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> Kinemati
     Uses the exact step rule the waypoint predictor replays, so prediction
     error is zero while the queue lasts.  A node with an exhausted queue is
     stationary.  Returns a new state; the history ring gains one sample.
+    An oracle: a run steps its `MotionTable` instead, `TestMotionTable`
+    compares the two, and `perfbench/` binds the name.
     """
     p = state.position
     x, y, z, k = motion_step(p.x, p.y, p.z, state.cursor, state.waypoints,

@@ -14,6 +14,10 @@ Each periodic source (the mobility ticks, each node's chirps, the CBR
 stream) keeps one pending event and schedules its successor when it
 fires, and a packet's state lives only until its last copy dies, so the
 event queue and the packet book do not grow with the length of the run.
+Events at one timestamp fire by rank: the tick (rank 0) first, so that
+positions update before anything else, then node i's chirp (rank 1 + i),
+then the CBR emission (rank n + 1), then every other event in the order
+it was scheduled (ranks from n + 2 on).
 """
 
 from __future__ import annotations
@@ -122,8 +126,8 @@ class Scenario:
             self.routing.validate()
         with within("budget."):
             self.budget.validate()
-        # `_first_not_before` finds a periodic source's last event over
-        # floats, which count every index only below 2**53.
+        # A source with 2**53 events or more could never finish, and its
+        # times would stop telling neighbouring indices apart.
         interval = self.routing.chirp_interval
         require(self.duration / interval < 2.0**53, "routing.chirp_interval", interval,
                 f"leave fewer than 2**53 chirps in duration {self.duration!r}", "duration")
@@ -181,13 +185,14 @@ class RunMetrics:
 
 
 class _PacketState:
-    __slots__ = ("measured", "delivered", "fail", "copies")
+    __slots__ = ("measured", "delivered", "fail", "copies", "flooded")
 
     def __init__(self, measured: bool):
         self.measured = measured
         self.delivered = False
         self.fail: str | None = None
         self.copies = 1  # live copies: queued, on the air or awaiting a retry
+        self.flooded: set[int] = set()  # the nodes that have flooded it on
 
     def outcome(self) -> str:
         """The packet's fate: delivered, else its last recorded failure;
@@ -196,8 +201,7 @@ class _PacketState:
 
 
 class _Node:
-    __slots__ = ("id", "position", "routing", "queue", "transmitting", "busy", "clean",
-                 "seen_flood")
+    __slots__ = ("id", "position", "routing", "queue", "transmitting", "busy", "clean")
 
     def __init__(self, node_id: int):
         self.id = node_id
@@ -211,7 +215,6 @@ class _Node:
         # other, and so does sending while receiving.
         self.busy = 0
         self.clean: Frame | None = None
-        self.seen_flood: set[int] = set()
 
 
 def greedy_next_hop(
@@ -263,21 +266,6 @@ def optimal_pdr_bound(
     return reachable / len(emission_times)
 
 
-def _first_not_before(offset: float, interval: float, k: int, limit: float) -> int:
-    """The first index from k on with offset + k * interval >= limit.
-
-    The predicate is monotone in the index, since rounding preserves
-    order, so the closed-form estimate only needs its rounding error
-    corrected, by the predicate itself.
-    """
-    first = max(k, math.ceil((limit - offset) / interval))
-    while first > k and offset + (first - 1) * interval >= limit:
-        first -= 1
-    while offset + first * interval < limit:
-        first += 1
-    return first
-
-
 class Simulation:
     """One seeded run.  Use run(scenario) unless internals are needed."""
 
@@ -286,7 +274,8 @@ class Simulation:
         self.sc = scenario
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        # The rank of the next dynamic event; see _start_streams.
+        self._next_rank = scenario.nodes + 2
 
         self.rng_channel = Random(stable_seed(scenario.seed, "channel"))
         self.rng_mac = Random(stable_seed(scenario.seed, "mac"))
@@ -359,43 +348,44 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule(self, time: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, self._seq, fn))
-        self._seq += 1
+        heapq.heappush(self._heap, (time, self._next_rank, fn))
+        self._next_rank += 1
 
     def _start_streams(self) -> None:
         """Schedule the first event of each periodic source.
 
-        Event k of a source fires at offset + k * interval.  Its tiebreaker
-        is its index in one time-ordered listing of every periodic event of
-        the run: the ticks first, so at coinciding timestamps positions
-        update before anything else fires, then each node's chirps in node
-        order, then the CBR emissions.  Dynamic events are numbered on
-        from the total.
+        Event k of a source fires at offset + k * interval.  A source has
+        one pending event at a time, so a fixed rank per source breaks
+        ties: the tick ranks 0, node i's chirp 1 + i and the CBR emission
+        n + 1, so at a shared timestamp positions update first, then the
+        chirps fire in node order, then the emission.  Dynamic events rank
+        from n + 2 on, in the order they are scheduled.  Ticks stop at the
+        motion table's last; chirps and emissions stop before `duration`.
         """
         sc = self.sc
         interval = sc.routing.chirp_interval
-        streams = [(self._tick, 0.0, sc.mobility.dt, 1, self._n_ticks + 1)]
-        for node in self.nodes:
-            offset = self.rng_mac.uniform(0.0, interval)
-            end = _first_not_before(offset, interval, 0, sc.duration)
-            streams.append((partial(self._emit_chirp, node), offset, interval, 0, end))
-        cbr = sc.payload * 8 / sc.cbr_rate
-        end = _first_not_before(0.0, cbr, 1, sc.duration)
-        streams.append((self._emit_packet, 0.0, cbr, 1, end))
-        for fire, offset, step, first, end in streams:
-            if first < end:
-                self._stream(fire, offset, step, first, end, self._seq)
-            self._seq += end - first
 
-    def _stream(self, fire: Callable[[], None], offset: float, interval: float,
-                k: int, end: int, seq: int) -> None:
-        """Schedule event k of a periodic source; when it fires, it first
-        schedules event k + 1, up to event `end` exclusive."""
-        def event() -> None:
-            if k + 1 < end:
-                self._stream(fire, offset, interval, k + 1, end, seq + 1)
-            fire()
-        heapq.heappush(self._heap, (offset + k * interval, seq, event))
+        def before_end(k: int, time: float) -> bool:
+            return time < sc.duration
+
+        self._stream(self._tick, 0, 0.0, sc.mobility.dt, 1, lambda k, _: k <= self._n_ticks)
+        for node in self.nodes:
+            self._stream(partial(self._emit_chirp, node), 1 + node.id,
+                         self.rng_mac.uniform(0.0, interval), interval, 0, before_end)
+        self._stream(self._emit_packet, len(self.nodes) + 1, 0.0,
+                     sc.payload * 8 / sc.cbr_rate, 1, before_end)
+
+    def _stream(self, fire: Callable[[], None], rank: int, offset: float, interval: float,
+                k: int, keep: Callable[[int, float], bool]) -> None:
+        """Schedule event k of a periodic source at offset + k * interval
+        if `keep(k, time)` holds; when it fires, it first schedules event
+        k + 1."""
+        time = offset + k * interval
+        if keep(k, time):
+            def event() -> None:
+                self._stream(fire, rank, offset, interval, k + 1, keep)
+                fire()
+            heapq.heappush(self._heap, (time, rank, event))
 
     # -- event handlers -----------------------------------------------------
 
@@ -445,10 +435,11 @@ class Simulation:
             return
         proto = self.sc.protocol
         if proto == "flood":
-            if pkt.pid in node.seen_flood:
+            flooded = self.packets[pkt.pid].flooded
+            if node.id in flooded:
                 self._drop_copy(pkt.pid)
                 return
-            node.seen_flood.add(pkt.pid)
+            flooded.add(node.id)
             self._enqueue_data(node, None, pkt)
         elif proto == "greedy":
             positions = {j: rec.position for j, rec in node.routing.neighbors.items()}
@@ -599,9 +590,6 @@ class Simulation:
         del self.packets[pid]
         if state.measured:
             self._outcomes[state.outcome()] += 1
-        if self.sc.protocol == "flood":
-            for node in self.nodes:
-                node.seen_flood.discard(pid)
 
     # -- run ------------------------------------------------------------------------
 

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import parrot_net as pn
-from parrot_net.campaign import mean_ci, parse_config, run_campaign, emit_csv
+from parrot_net.campaign import campaign, emit_csv, mean_ci, parse_config, run_campaign
 from parrot_net.chirp import decode_chirp, encode_chirp
 from parrot_net.kinematics import MobilityConfig, Vec3
 from parrot_net.routing import Forward, RoutingParams, RoutingState, compute_let
-from parrot_net.simulator import Scenario, run, stable_seed
+from parrot_net.simulator import Scenario, stable_seed
 
 RUNS = 25
 
@@ -284,10 +284,8 @@ def campaign_scenario(**overrides):
 
 
 def run_arm(scenario, tag):
-    return [
-        run(replace(scenario, seed=stable_seed(CAMPAIGN_SEED_TAG, tag, r)))
-        for r in range(RUNS)
-    ]
+    return campaign([replace(scenario, seed=stable_seed(CAMPAIGN_SEED_TAG, tag, r))
+                     for r in range(RUNS)])
 
 
 @pytest.fixture(scope="module")
@@ -331,11 +329,14 @@ def test_criterion_8_alpha_plateau():
         nodes=10, box=Vec3(350.0, 350.0, 175.0), speed=90 / 3.6,
         duration=80.0, warmup=20.0, cbr_rate=112_000, channel="urban",
     )
+    alphas = (0.05, 0.5, 1.0)
+    runs = campaign([replace(base, routing=RoutingParams(alpha=alpha),
+                             seed=stable_seed("acceptance-8", r))
+                     for alpha in alphas for r in range(RUNS)])
     means = {}
     cis = {}
-    for alpha in (0.05, 0.5, 1.0):
-        sc = replace(base, routing=RoutingParams(alpha=alpha))
-        ms = [run(replace(sc, seed=stable_seed("acceptance-8", r))) for r in range(RUNS)]
+    for i, alpha in enumerate(alphas):
+        ms = runs[i * RUNS:(i + 1) * RUNS]
         means[alpha], cis[alpha] = mean_ci([m.pdr for m in ms])
     assert means[0.5] >= means[0.05] - cis[0.05]
     assert means[0.5] >= means[1.0] - cis[1.0]
@@ -376,9 +377,9 @@ def test_criterion_10_urban_fading_sanity():
         nodes=10, box=Vec3(300.0, 300.0, 150.0), speed=90 / 3.6,
         duration=80.0, warmup=20.0, cbr_rate=112_000,
     )
-    rural = [run(replace(base, seed=stable_seed("acceptance-10", r))) for r in range(12)]
-    urban = [run(replace(base, channel="urban", seed=stable_seed("acceptance-10", r)))
-             for r in range(12)]
+    runs = campaign([replace(base, channel=channel, seed=stable_seed("acceptance-10", r))
+                     for channel in ("rural", "urban") for r in range(12)])
+    rural, urban = runs[:12], runs[12:]
     rural_mean, _ = mean_ci([m.pdr for m in rural])
     urban_mean, _ = mean_ci([m.pdr for m in urban])
     assert urban_mean <= rural_mean

@@ -573,6 +573,18 @@ class TestParallelCells:
         assert len(count_forks) == 3
         _no_child_left()
 
+    def test_campaign_returns_metrics_in_scenario_order(self, count_forks, monkeypatch):
+        # Any list of scenarios, not only a config's cells: the acceptance
+        # arms run through it.
+        _cores(monkeypatch, 2)
+        base = parse_config(None, TINY).scenario
+        scenarios = [replace(base, seed=seed, nodes=nodes)
+                     for seed, nodes in ((3, 4), (1, 5), (2, 4))]
+        assert campaign.campaign(scenarios) == [run(sc) for sc in scenarios]
+        assert len(count_forks) == 2
+        assert campaign.campaign([]) == []
+        _no_child_left()
+
     def test_cells_stay_here_without_fork(self, monkeypatch):
         _cores(monkeypatch, 1)
         expected = run_campaign(parse_config(None, TINY + ["runs=2"]))

@@ -27,7 +27,6 @@ from parrot_net.simulator import (
     Frame,
     Scenario,
     Simulation,
-    _first_not_before,
     greedy_next_hop,
     optimal_pdr_bound,
     run,
@@ -327,57 +326,40 @@ def cbr_emission_times(sc):
     return times
 
 
-def count_to_first_not_before(offset, interval, k, limit):
-    """The index search `_first_not_before` replaces, one step at a time."""
-    while offset + k * interval < limit:
-        k += 1
-    return k
-
-
 class TestStreamLength:
-    """The end index of a periodic source, computed in closed form, against
-    the loop it replaces.  Limits that sit on the grid, or one ulp off it,
-    make the rounding of the estimate matter."""
+    """Where each periodic source stops.  CBR emissions (and chirps) run
+    while their time is below `duration`; ticks run up to the count that
+    sizes the motion table, and fire while their time is at most
+    `duration`.  Durations on either grid, or one ulp off it, make the
+    comparison at the boundary matter."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        interval=st.one_of(st.sampled_from([0.05, 0.1, 0.5]), st.floats(1e-2, 10.0)),
-        phase=st.floats(0.0, 1.0, exclude_max=True),
-        k=st.integers(0, 2),
-        limit=st.one_of(st.floats(-1.0, 100.0), st.integers(0, 1000)),
+        cbr_rate=st.one_of(st.sampled_from([56000.0, 112000.0]), st.floats(20_000, 200_000)),
+        dt=st.one_of(st.sampled_from([0.1, 0.25]), st.floats(0.02, 0.5)),
+        on_tick_grid=st.booleans(),
+        index=st.integers(1, 40),
         nudge=st.sampled_from([-1, 0, 1]),
     )
-    @example(interval=0.1, phase=0.0, k=1, limit=3, nudge=0)
-    @example(interval=0.05, phase=0.0, k=1, limit=1800, nudge=0)
-    def test_matches_the_loop(self, interval, phase, k, limit, nudge):
-        offset = phase * interval
-        if isinstance(limit, int):
-            # The limit on the grid: the time of event `limit`.
-            limit = offset + limit * interval
-        limit = math.nextafter(limit, math.copysign(math.inf, nudge)) if nudge else limit
-        assert (_first_not_before(offset, interval, k, limit)
-                == count_to_first_not_before(offset, interval, k, limit))
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        interval=st.floats(1e-12, 1e-2),
-        phase=st.floats(0.0, 1.0, exclude_max=True),
-        k=st.integers(0, 2),
-        span=st.one_of(st.floats(-1.0, 1000.0), st.integers(0, 1000)),
-        nudge=st.sampled_from([-1, 0, 1]),
-    )
-    @example(interval=1e-9, phase=0.0, k=0, span=1000, nudge=0)
-    @example(interval=1e-9, phase=0.5, k=0, span=999.5, nudge=1)
-    def test_tiny_intervals_match_the_loop(self, interval, phase, k, span, nudge):
-        # The limit is `span` intervals away, so the loop stays short.
-        offset = phase * interval
-        limit = offset + span * interval if isinstance(span, int) else span * interval
-        limit = math.nextafter(limit, math.copysign(math.inf, nudge)) if nudge else limit
-        assert (_first_not_before(offset, interval, k, limit)
-                == count_to_first_not_before(offset, interval, k, limit))
+    @example(cbr_rate=112000.0, dt=0.1, on_tick_grid=False, index=30, nudge=0)
+    @example(cbr_rate=112000.0, dt=0.1, on_tick_grid=True, index=30, nudge=-1)
+    @example(cbr_rate=56000.0, dt=0.25, on_tick_grid=True, index=4, nudge=0)
+    def test_sources_stop_at_the_boundary(self, cbr_rate, dt, on_tick_grid, index, nudge):
+        sc = Scenario(nodes=2, duration=1.0, warmup=0.0, cbr_rate=cbr_rate,
+                      mobility=MobilityConfig(dt=dt), seed=index)
+        # The grid's times as the simulator computes them: index * interval.
+        duration = index * (dt if on_tick_grid else sc.payload * 8 / sc.cbr_rate)
+        if nudge:
+            duration = math.nextafter(duration, math.copysign(math.inf, nudge))
+        sc = replace(sc, duration=duration)
+        sim = Simulation(sc)
+        # An emission at exactly `duration` never fires.
+        assert sim.run().sent == len(cbr_emission_times(sc))
+        n_ticks = int(duration / dt + 1e-9)
+        assert len(sim.trace) - 1 == sum(1 for k in range(1, n_ticks + 1) if k * dt <= duration)
 
     def test_tiny_chirp_interval_builds_at_once(self):
-        # Counting its chirps one by one took a billion steps per node.
+        # A billion chirps per node: only the first of each is scheduled.
         sc = Scenario(nodes=3, duration=1.0, warmup=0.5,
                       routing=RoutingParams(chirp_interval=1e-9))
         assert Simulation(sc).now == 0.0
