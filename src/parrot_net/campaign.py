@@ -280,6 +280,8 @@ def campaign(scenarios: list[Scenario]) -> list[RunMetrics]:
     not exist, and where `campaign.run` is not `simulator.run`: a wrapper
     there, such as a tracer, sees every run, while one on a deeper seam
     (`channel.Medium.hears`, say) sees no run that leaves for a worker.
+    An urban cell on a forked worker forks its own gain helper (see
+    `channel`), which ends with the cell.
     """
     workers = min(len(scenarios), usable_cores())
     if workers >= 2 and hasattr(os, "fork") and run is simulator.run:

@@ -7,11 +7,21 @@ same frame: it reuses the gain that its frame drew at that receiver, and
 every new frame draws afresh.  The same r_TX feeds the link-expiry metric,
 keeping the rural channel and the LET model mutually consistent.  `Medium`
 is the fast form of `receive` for a run: one verdict per transmission.
+
+A run's gains depend on nothing but its seed and `nakagami_m`, so an urban
+`Medium` draws them ahead on another core: from its first frame until it
+is closed, one forked helper process runs `nakagami_sampler` over its copy
+of the run's generator and streams the gains through a pipe.  They are
+bit-identical to gains drawn in process, which is where they are drawn
+where `os.fork` does not exist.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import weakref
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -160,6 +170,43 @@ def nakagami_sampler(m: float, rng: Random) -> Callable[[], float]:
     return draw
 
 
+# Gains per chunk of the stream: 8 KiB, an eighth of a Linux pipe's
+# capacity, so the helper runs at most nine chunks ahead of the run.
+_CHUNK = 1024
+
+
+def _gain_chunks(m: float, rng: Random) -> Callable[[], array]:
+    """A function that returns the next `_CHUNK` gains of `nakagami_sampler(m,
+    rng)` at each call, in dB (`10 log10` of the power gain)."""
+    draw, log10 = nakagami_sampler(m, rng), math.log10
+    return lambda: array("d", [10.0 * log10(draw()) for _ in range(_CHUNK)])
+
+
+def _feed(write_fd: int, chunk: Callable[[], array]) -> None:
+    """The body of a gain helper: write chunks until the reader is gone."""
+    with open(write_fd, "wb") as out:
+        while True:
+            out.write(chunk())
+            out.flush()
+
+
+def _read_chunk(pipe) -> array:
+    """The next chunk of a gain helper's stream."""
+    chunk = array("d")
+    chunk.fromfile(pipe, _CHUNK)
+    return chunk
+
+
+def _reap(owner: int, pid: int, pipe) -> None:
+    """End the gain helper `pid` of process `owner` and close its pipe."""
+    from signal import SIGKILL
+
+    pipe.close()
+    if os.getpid() == owner:  # not in a forked copy of the owner
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def faded_reception(budget: LinkBudget, distance: float, gain: float) -> bool:
     """Urban verdict for a given fading power gain: the faded power at the
     given distance meets the receiver sensitivity.  An oracle: `TestMedium`
@@ -188,7 +235,8 @@ def receive(budget: LinkBudget, model: str, distance: float, rng: Random) -> boo
 class Medium:
     """The channel of one run over the motion `table`, whose node i is
     `stations[i]`; `tick(k)` moves it to tick k.  Urban gains are drawn
-    from `rng`."""
+    from `rng` by a helper process, forked at the first new frame and
+    ended by `close()` (or when the medium is collected)."""
 
     def __init__(self, budget: LinkBudget, model: str, rng: Random, table: MotionTable,
                  stations: Sequence) -> None:
@@ -198,7 +246,13 @@ class Medium:
         self.r_tx = compute_r_tx(budget)
         self.sensitivity_dbm = budget.sensitivity_dbm
         self._mean_power = path_loss_law(budget)
-        self._draw_gain = nakagami_sampler(budget.nakagami_m, rng)
+        self._nakagami_m, self._rng = budget.nakagami_m, rng
+        # The stream of gains in dB: those not yet taken by a frame are
+        # `_gains[_next:]`, and `_read` returns the next chunk once started.
+        self._gains: list[float] = []
+        self._next = 0
+        self._read: Callable[[], array] | None = None
+        self._helper: weakref.finalize | None = None
         self._table = table
         self._n = len(stations)
         self._others = [[o for o in stations if o is not s] for s in stations]
@@ -239,18 +293,62 @@ class Medium:
     def hears(self, frame) -> list:
         """The stations that hear `frame` (its `sender` and `fading`) now,
         in node order.  Urban: `faded_reception` per station, with the gains
-        in dB drawn on the frame's first verdict and kept on the frame, so a
-        retry reuses them at the mean power of the current tick."""
+        in dB taken from the stream on the frame's first verdict (the next
+        n - 1) and kept on the frame, so a retry reuses them at the mean
+        power of the current tick."""
         s = frame.sender
         row = self.row(s)
         if not self.urban:
             return row
         fading = frame.fading
         if fading is None:
-            draw, log10 = self._draw_gain, math.log10
-            fading = frame.fading = [10.0 * log10(draw()) for _ in row]
+            if self._next + len(row) > len(self._gains):
+                self._refill(len(row))
+            start = self._next
+            end = self._next = start + len(row)
+            fading = frame.fading = self._gains[start:end]
         sensitivity = self.sensitivity_dbm
         return [
             other for other, power, db in zip(self._others[s], row, fading)
             if power + db >= sensitivity
         ]
+
+    def _refill(self, need: int) -> None:
+        """Drop the gains taken so far and read the stream until at least
+        `need` gains are buffered, starting it on the first call."""
+        gains = self._gains[self._next:]
+        self._next = 0
+        if self._read is None:
+            self._read = self._start()
+        while len(gains) < need:
+            gains += self._read()
+        self._gains = gains
+
+    def _start(self) -> Callable[[], array]:
+        """Fork the gain helper and return the reader of its stream; where
+        `os.fork` does not exist, return the in-process chunk function."""
+        chunk = _gain_chunks(self._nakagami_m, self._rng)
+        if not hasattr(os, "fork"):
+            return chunk
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                _feed(write_fd, chunk)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        pipe = open(read_fd, "rb")
+        self._helper = weakref.finalize(self, _reap, os.getpid(), pid, pipe)
+        return partial(_read_chunk, pipe)
+
+    def close(self) -> None:
+        """End the gain helper, if one was forked."""
+        if self._helper is not None:
+            self._helper()

@@ -182,7 +182,9 @@ def motion_step(x: float, y: float, z: float, k: int, waypoints: Sequence[Vec3],
     Takes and returns the position and the cursor, the index of the
     waypoint steered for.  The node moves speed * dt toward that waypoint,
     never past it, and a waypoint counts as reached once the node is within
-    r_w of it.  A node with no waypoint left, or no speed, holds position.
+    r_w of it.  A node with no speed holds position; so does one whose
+    finite, hand-built queue is spent, while an endless `WaypointQueue`
+    always has a waypoint ahead.
     This is the one motion law: `MotionTable`, `step_random_waypoint` and
     `predict_waypoint` all step through it.
     """
@@ -323,9 +325,10 @@ def predict_position(state: KinematicState, cfg: MobilityConfig) -> Vec3:
 def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
     """Advance the node by one mobility tick toward its current waypoint.
 
-    Uses the exact step rule the waypoint predictor replays, so prediction
-    error is zero while the queue lasts.  A node with an exhausted queue is
-    stationary.  Returns a new state; the history ring gains one sample.
+    Uses the exact step rule the waypoint predictor replays, so a spawned
+    node, whose queue is endless, is predicted with zero error and holds
+    position only at speed 0.  Returns a new state; the history ring gains
+    one sample.
     An oracle: a run steps its `MotionTable` instead, `TestMotionTable`
     compares the two, and `perfbench/` binds the name.
     """

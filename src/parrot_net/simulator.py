@@ -595,12 +595,15 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         sc = self.sc
-        while self._heap:
-            time, _, fn = heapq.heappop(self._heap)
-            if time > sc.duration:
-                break
-            self.now = time
-            fn()
+        try:
+            while self._heap:
+                time, _, fn = heapq.heappop(self._heap)
+                if time > sc.duration:
+                    break
+                self.now = time
+                fn()
+        finally:
+            self.medium.close()
         # The pending events hold bound methods of this simulation; drop
         # them so that a finished run is freed at once, not at the next
         # full collection.

@@ -43,9 +43,10 @@ def test_every_hooked_name_is_bound_where_it_is_hooked():
 # hides in `MotionTable.__init__`, inside `simulator.init.self_s`),
 # `kinematics.predict` (self-predictions are read from the motion table,
 # and no waypoint queue runs out) and `channel.receive`, `channel.faded`
-# and `channel.nakagami` (the channel draws through
-# `channel.nakagami_sampler` in `channel.Medium.hears`, so channel time
-# hides there, inside `simulator.run.self_s`).
+# and `channel.nakagami` (an urban run's gains are drawn through
+# `channel.nakagami_sampler` by its gain helper process and read in
+# `channel.Medium.hears`, so the verdicts' time hides there, inside
+# `simulator.run.self_s`, and the draws' in the helper).
 LIVE_HOOKS = (
     "chirp.decode", "chirp.encode", "routing.handle_chirp", "routing.expire",
     "routing.select", "simulator.init", "simulator.run", "simulator.collect", "campaign",

@@ -528,14 +528,26 @@ def _children(pid):
     return kids
 
 
-def _alive(pid, parent=None):
-    """Whether `pid` runs (a zombie has ended), with parent `parent` if given."""
+def _stat(pid):
+    """The state, parent and session of `pid` from /proc, or None."""
     try:
         with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-            state, ppid = handle.read().rsplit(")", 1)[1].split()[:2]
+            state, ppid, _, session = handle.read().rsplit(")", 1)[1].split()[:4]
     except (OSError, ValueError):
-        return False
-    return state != "Z" and parent in (None, int(ppid))
+        return None
+    return state, int(ppid), int(session)
+
+
+def _alive(pid, parent=None):
+    """Whether `pid` runs (a zombie has ended), with parent `parent` if given."""
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z" and parent in (None, stat[1])
+
+
+def _session(sid):
+    """The live processes of session `sid`, read from /proc."""
+    return [int(entry) for entry in os.listdir("/proc") if entry.isdigit()
+            and (stat := _stat(int(entry))) is not None and stat[0] != "Z" and stat[2] == sid]
 
 
 @pytest.mark.skipif(usable_cores() < 2, reason="needs 2 usable cores")
@@ -632,33 +644,59 @@ class TestParallelCells:
         _no_child_left()
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
+    def test_urban_cells_return_from_forked_workers(self, count_forks, monkeypatch):
+        # Each urban cell forks its gain helper inside its worker; no helper
+        # may keep a worker's result pipe open after the worker ends.
+        _cores(monkeypatch, 2)
+        base = parse_config(None, TINY + ["channel=urban"]).scenario
+        scenarios = [replace(base, seed=seed) for seed in (1, 2, 3)]
+
+        def hung(signum, frame):
+            raise TimeoutError("the campaign did not return")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            forked = campaign.campaign(scenarios)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(count_forks) == 2
+        _no_child_left()
+        assert forked == [run(sc) for sc in scenarios]
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
     def test_workers_of_a_killed_campaign_end(self, tmp_path):
-        # Two workers of 30 cells, each cell about 0.25 s: a worker that
-        # ran on after its parent was killed would live for seconds more.
+        # Two workers of 30 urban cells, each cell about 0.3 s with its own
+        # gain helper: a worker that ran on after its parent was killed
+        # would live for seconds more.  One worker is killed with the parent,
+        # so its helper is left without a reader.
         src = str(Path(__file__).resolve().parent.parent / "src")
         argv = [sys.executable, "-m", "parrot_net.cli", "run", "--runs", "60",
                 "--out", str(tmp_path)]
-        argv += [f"--set={kv}" for kv in TINY + ["duration=150"]]
+        argv += [f"--set={kv}" for kv in TINY + ["duration=150", "channel=urban"]]
         proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src},
-                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        workers = []
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
         try:
+            workers, helpers = [], []
             deadline = time.monotonic() + 60
-            while len(workers) < 2 and time.monotonic() < deadline:
+            while not (len(workers) == 2 and helpers) and time.monotonic() < deadline:
                 time.sleep(0.05)
                 workers = _children(proc.pid)
-            assert len(workers) == 2
+                helpers = _children(workers[0]) if workers else []
+            assert len(workers) == 2 and helpers
             proc.kill()
+            os.kill(workers[0], signal.SIGKILL)
             proc.wait()
             deadline = time.monotonic() + 3
-            while any(map(_alive, workers)) and time.monotonic() < deadline:
+            while _session(proc.pid) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not any(map(_alive, workers))
+            assert not _session(proc.pid)
         finally:
             proc.kill()
             proc.wait()
-            for pid in filter(_alive, workers):
+            for pid in _session(proc.pid):
                 os.kill(pid, signal.SIGKILL)
 
 

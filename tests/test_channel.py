@@ -1,4 +1,7 @@
+import gc
 import math
+import os
+from array import array
 from dataclasses import replace
 from random import Random
 
@@ -24,7 +27,7 @@ from parrot_net.channel import (
 )
 from parrot_net.errors import ConfigError
 from parrot_net.kinematics import MobilityConfig, MotionTable, Vec3, make_random_waypoint_state
-from parrot_net.simulator import Frame
+from parrot_net.simulator import Frame, Scenario, run
 
 
 class TestMeanRxPower:
@@ -288,3 +291,113 @@ class TestMedium:
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError):
             Medium(self.budget, "orbital", Random(0), motion(0, 2, 0), [0, 1])
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The processes forked from this one: here, gain helpers."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def child_running() -> bool:
+    """Whether a child of this process is still running."""
+    try:
+        return os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:
+        return False
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestGainHelper:
+    """The stream of urban gains that a `Medium` reads from its helper."""
+
+    n = 8  # 7 gains per frame, so chunks of 1024 gains end inside frames
+    urban = Scenario(nodes=6, box=Vec3(300, 300, 150), duration=20.0, warmup=5.0,
+                     channel=URBAN, seed=4)
+
+    def fadings(self, m, frames):
+        """The gains of `frames` new frames, and whether a helper ran."""
+        budget = budget_for_radius(150.0, nakagami_m=m)
+        medium = Medium(budget, URBAN, Random(11), motion(5, self.n, 0), list(range(self.n)))
+        gains = []
+        try:
+            for k in range(frames):
+                frame = Frame(k % self.n, None, "data", None, 100)
+                medium.hears(frame)
+                gains += frame.fading
+            return gains, child_running()
+        finally:
+            medium.close()
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
+    def test_helper_and_in_process_streams_are_bit_identical(self, m, monkeypatch):
+        # 500 frames of 7 gains cross three chunk boundaries, each inside a
+        # frame; m <= 1 draws through gammavariate, m > 1 through the replay.
+        forked, helper_ran = self.fadings(m, 500)
+        monkeypatch.delattr(os, "fork")
+        in_process, child_ran = self.fadings(m, 500)
+        reference = Random(11)
+        expected = [10.0 * math.log10(nakagami_gain(m, reference)) for _ in range(7 * 500)]
+        assert helper_ran and not child_ran
+        assert (array("d", forked).tobytes() == array("d", in_process).tobytes()
+                == array("d", expected).tobytes())
+
+    def test_urban_run_is_the_same_without_a_helper(self, forks, monkeypatch):
+        # The golden digests cover m = 2 only.
+        sc = replace(self.urban, budget=budget_for_radius(nakagami_m=3.7))
+        forked = run(sc)
+        assert len(forks) == 1 and forked.delivered > 0
+        monkeypatch.delattr(os, "fork")
+        assert run(sc) == forked
+
+    def test_rural_run_and_drawless_medium_fork_nothing(self, forks):
+        run(replace(self.urban, channel=RURAL))
+        medium = Medium(default_budget(), URBAN, Random(0), motion(0, self.n, 0),
+                        list(range(self.n)))
+        medium.row(0)
+        medium.close()
+        assert forks == []
+
+    def test_a_finished_run_leaves_no_helper(self, forks):
+        run(self.urban)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_a_failed_run_leaves_no_helper(self, forks, monkeypatch):
+        hears = Medium.hears
+        frames = []
+
+        def failing(medium, frame):
+            frames.append(frame)
+            if len(frames) > 50:
+                raise RuntimeError("scripted channel failure")
+            return hears(medium, frame)
+
+        monkeypatch.setattr(Medium, "hears", failing)
+        with pytest.raises(RuntimeError, match="scripted"):
+            run(self.urban)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_a_dropped_medium_leaves_no_helper(self, forks):
+        medium = Medium(default_budget(), URBAN, Random(0), motion(0, self.n, 0),
+                        list(range(self.n)))
+        medium.hears(Frame(0, None, "data", None, 100))
+        assert len(forks) == 1 and child_running()
+        del medium
+        gc.collect()
+        no_child_left()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parrot_net.channel import budget_for_radius, compute_r_tx
+from parrot_net.channel import budget_for_radius, compute_r_tx, nakagami_gain
 from parrot_net.errors import ConfigError
 from parrot_net.kinematics import (
     MobilityConfig,
@@ -247,18 +247,24 @@ class TestMacBehavior:
         distance = a.position.distance_to(b.position)
         sim = Simulation(replace(sc, budget=budget_for_radius(distance)))
         sender, receiver = sim.nodes
+        # The run's gain stream, in dB: n - 1 = 1 value per new frame.
+        reference = Random(stable_seed(sc.seed, "channel"))
+        m = sim.sc.budget.nakagami_m
         verdicts = []
-        for _ in range(60):
-            frame = Frame(sender.id, receiver.id, "data", None, 100)
-            before = sim.rng_channel.getstate()
-            first = receiver in sim.medium.hears(frame)
-            drawn = sim.rng_channel.getstate()
-            assert drawn != before, "a new frame draws a fresh gain"
-            for _ in range(sc.retry_limit):
-                frame.attempts += 1
-                assert (receiver in sim.medium.hears(frame)) == first
-                assert sim.rng_channel.getstate() == drawn, "a retry draws no gain"
-            verdicts.append(first)
+        try:
+            for _ in range(60):
+                frame = Frame(sender.id, receiver.id, "data", None, 100)
+                first = receiver in sim.medium.hears(frame)
+                drawn = [10.0 * math.log10(nakagami_gain(m, reference))]
+                assert frame.fading == drawn, "a new frame takes the next gain"
+                for _ in range(sc.retry_limit):
+                    frame.attempts += 1
+                    assert (receiver in sim.medium.hears(frame)) == first
+                    assert frame.fading == drawn, "a retry keeps the frame's gain"
+                # The next frame's check shows that no retry took a gain.
+                verdicts.append(first)
+        finally:
+            sim.medium.close()
         assert True in verdicts and False in verdicts
 
     def test_queue_overflow_drops(self):
