@@ -13,7 +13,8 @@ A run's gains depend on nothing but its seed and `nakagami_m`, so an urban
 is closed, one forked helper process runs `nakagami_sampler` over its copy
 of the run's generator and streams the gains through a pipe.  They are
 bit-identical to gains drawn in process, which is where they are drawn
-where `os.fork` does not exist.
+where `os.fork` does not exist.  Where Linux tells which CPU the run is on,
+the helper keeps off it if another usable CPU is left.
 """
 
 from __future__ import annotations
@@ -190,6 +191,23 @@ def _feed(write_fd: int, chunk: Callable[[], array]) -> None:
             out.flush()
 
 
+def _leave_cpu_of(pid: int) -> None:
+    """Keep this process off the CPU that process `pid` runs on now, where
+    Linux tells which and another usable CPU is left.  A helper left to the
+    kernel can share its run's CPU for the whole run, pipe wake-up after
+    wake-up, while another CPU idles; the run then waits for most chunks."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        os.sched_setaffinity(0, others)
+
+
 def _read_chunk(pipe) -> array:
     """The next chunk of a gain helper's stream."""
     chunk = array("d")
@@ -199,11 +217,9 @@ def _read_chunk(pipe) -> array:
 
 def _reap(owner: int, pid: int, pipe) -> None:
     """End the gain helper `pid` of process `owner` and close its pipe."""
-    from signal import SIGKILL
-
     pipe.close()
     if os.getpid() == owner:  # not in a forked copy of the owner
-        os.kill(pid, SIGKILL)
+        os.kill(pid, 9)  # SIGKILL, the same number on every POSIX system
         os.waitpid(pid, 0)
 
 
@@ -340,6 +356,7 @@ class Medium:
         if pid == 0:
             try:
                 os.close(read_fd)
+                _leave_cpu_of(os.getppid())
                 _feed(write_fd, chunk)
             finally:
                 os._exit(0)

@@ -372,6 +372,27 @@ class TestGainHelper:
         medium.close()
         assert forks == []
 
+    @pytest.mark.skipif(not os.path.isdir("/proc") or not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable cores")
+    def test_helper_keeps_off_the_cpu_of_its_run(self, forks):
+        # With several usable CPUs the helper gives up the one its run is
+        # on; with one, it shares it.
+        cpus = os.sched_getaffinity(0)
+        helper_cpus = []
+        for allowed in (cpus, {min(cpus)}):
+            os.sched_setaffinity(0, allowed)
+            try:
+                medium = Medium(default_budget(), URBAN, Random(0), motion(0, self.n, 0),
+                                list(range(self.n)))
+                medium.hears(Frame(0, None, "data", None, 100))  # waits for a chunk
+                helper_cpus.append(os.sched_getaffinity(forks[-1]))
+                medium.close()
+            finally:
+                os.sched_setaffinity(0, cpus)
+        spread, pinned = helper_cpus
+        assert spread < cpus and len(spread) == len(cpus) - 1
+        assert pinned == {min(cpus)}
+
     def test_a_finished_run_leaves_no_helper(self, forks):
         run(self.urban)
         assert len(forks) == 1
