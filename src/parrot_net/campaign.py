@@ -4,8 +4,8 @@ A campaign runs one scenario across a sweep axis with several seeded runs
 per point and aggregates mean values with 0.95 normal-approximation
 confidence intervals.  Output is a pure function of the configuration, base
 seed included: each run is a pure function of its `Scenario`, so the runs
-may execute side by side in forked worker processes, one per usable
-core, without changing a bit of it.
+may execute side by side in worker processes forked through `_procs`, one
+per usable core, without changing a bit of it.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from random import Random
-from typing import Callable
+from typing import BinaryIO, Callable
 
+from ._procs import Child, usable_cores
 from .channel import budget_for_radius
 from .errors import ConfigError, require, within
 from .kinematics import (
@@ -53,14 +55,6 @@ CSV_COLUMNS = (
 SWEEPABLE = ("alpha", "gamma0", "tau", "nodes", "speed_kmh")
 
 _KMH_PER_MPS = 3.6
-
-
-def usable_cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass
@@ -280,8 +274,8 @@ def campaign(scenarios: list[Scenario]) -> list[RunMetrics]:
     not exist, and where `campaign.run` is not `simulator.run`: a wrapper
     there, such as a tracer, sees every run, while one on a deeper seam
     (`channel.Medium.hears`, say) sees no run that leaves for a worker.
-    An urban cell on a forked worker forks its own gain helper (see
-    `channel`), which ends with the cell.
+    The workers, and an urban cell's gain helper (see `channel`), are
+    forked through `_procs`; a worker's helper ends with its cell.
     """
     workers = min(len(scenarios), usable_cores())
     if workers >= 2 and hasattr(os, "fork") and run is simulator.run:
@@ -316,77 +310,51 @@ def _run_forked(cells: list[Scenario], workers: int) -> list[RunMetrics]:
     w, w + workers, ..., and return their metrics in cell order.
 
     Each worker pickles its metrics, or its exception, into its own pipe
-    and ends; an exception is re-raised here with its own type.  On any
-    error, or an interrupt, every worker still running is killed and
+    and ends; an exception is re-raised here with its own type.  On the
+    way out, on an error or an interrupt too, every worker is killed and
     reaped.  A worker whose parent is gone (ended by a signal that skips
     this cleanup) ends before its next cell.
     """
     import pickle
-    from signal import SIGKILL
 
     parent = os.getpid()
     metrics: list[RunMetrics | None] = [None] * len(cells)
-    pids: list[int] = []  # the workers not yet reaped
-    pipes = []
+    children: list[Child] = []
     try:
         for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    code = _work(write_fd, cells[w::workers], parent)
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            pids.append(pid)
-            pipes.append(open(read_fd, "rb"))
-        for w, (pid, pipe) in enumerate(zip(list(pids), pipes)):
-            data = pipe.read()
-            os.waitpid(pid, 0)
-            pids.remove(pid)
+            children.append(Child(partial(_work, cells=cells[w::workers], parent=parent)))
+        for w, child in enumerate(children):
+            data = child.reader.read()
             if not data:
-                raise RuntimeError(f"campaign worker {pid} ended without a result")
+                raise RuntimeError(f"campaign worker {child.pid} ended without a result")
             ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
             metrics[w::workers] = payload
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            child.end()
     return metrics
 
 
-def _work(write_fd: int, cells: list[Scenario], parent: int) -> int:
-    """The body of a forked worker: run the cells, write the outcome to
-    `write_fd` and return the worker's exit code.  Once `parent` is no
-    longer its parent, nobody reads the outcome, so it stops at once."""
+def _work(out: BinaryIO, cells: list[Scenario], parent: int) -> None:
+    """The body of a forked worker: run the cells and write the outcome to
+    `out`.  Once `parent` is no longer its parent, nobody reads the
+    outcome, so it stops at once."""
     import pickle
 
     try:
         results = []
         for scenario in cells:
             if os.getppid() != parent:
-                return 1
+                return
             results.append(run(scenario))
-        outcome, code = (True, results), 0
+        outcome = (True, results)
     except BaseException as exc:
         # Sent to the parent, which re-raises it.  One that cannot be
         # pickled ends the worker with nothing written.
-        outcome, code = (False, exc), 1
-    data = pickle.dumps(outcome)
-    with open(write_fd, "wb") as pipe:
-        pipe.write(data)
-    return code
+        outcome = (False, exc)
+    out.write(pickle.dumps(outcome))
 
 
 def _mean(values) -> float:

@@ -10,25 +10,26 @@ is the fast form of `receive` for a run: one verdict per transmission.
 
 A run's gains depend on nothing but its seed and `nakagami_m`, so an urban
 `Medium` draws them ahead on another core: from its first frame until it
-is closed, one forked helper process runs `nakagami_sampler` over its copy
-of the run's generator and streams the gains through a pipe.  They are
-bit-identical to gains drawn in process, which is where they are drawn
-where `os.fork` does not exist.  Where Linux tells which CPU the run is on,
-the helper keeps off it if another usable CPU is left.
+is closed, one helper process, forked through `_procs`, runs
+`nakagami_sampler` over its copy of the run's generator and streams the
+gains through a pipe.  They are bit-identical to gains drawn in process,
+which is where they are drawn where `os.fork` does not exist.  Where Linux
+tells which CPU the run is on, the helper keeps off it if another usable
+CPU is left.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from random import Random
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
+from . import _procs
 from .errors import ConfigError, require, require_finite
 from .kinematics import MotionTable, distance
 
@@ -183,29 +184,13 @@ def _gain_chunks(m: float, rng: Random) -> Callable[[], array]:
     return lambda: array("d", [10.0 * log10(draw()) for _ in range(_CHUNK)])
 
 
-def _feed(write_fd: int, chunk: Callable[[], array]) -> None:
-    """The body of a gain helper: write chunks until the reader is gone."""
-    with open(write_fd, "wb") as out:
-        while True:
-            out.write(chunk())
-            out.flush()
-
-
-def _leave_cpu_of(pid: int) -> None:
-    """Keep this process off the CPU that process `pid` runs on now, where
-    Linux tells which and another usable CPU is left.  A helper left to the
-    kernel can share its run's CPU for the whole run, pipe wake-up after
-    wake-up, while another CPU idles; the run then waits for most chunks."""
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
-            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
-    except OSError:
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        os.sched_setaffinity(0, others)
+def _feed(out: BinaryIO, chunk: Callable[[], array]) -> None:
+    """The body of a gain helper: keep off its run's CPU, then write chunks
+    to `out` until the reader is gone."""
+    _procs.leave_cpu_of(os.getppid())
+    while True:
+        out.write(chunk())
+        out.flush()
 
 
 def _read_chunk(pipe) -> array:
@@ -213,14 +198,6 @@ def _read_chunk(pipe) -> array:
     chunk = array("d")
     chunk.fromfile(pipe, _CHUNK)
     return chunk
-
-
-def _reap(owner: int, pid: int, pipe) -> None:
-    """End the gain helper `pid` of process `owner` and close its pipe."""
-    pipe.close()
-    if os.getpid() == owner:  # not in a forked copy of the owner
-        os.kill(pid, 9)  # SIGKILL, the same number on every POSIX system
-        os.waitpid(pid, 0)
 
 
 def faded_reception(budget: LinkBudget, distance: float, gain: float) -> bool:
@@ -268,7 +245,7 @@ class Medium:
         self._gains: list[float] = []
         self._next = 0
         self._read: Callable[[], array] | None = None
-        self._helper: weakref.finalize | None = None
+        self._helper: _procs.Child | None = None
         self._table = table
         self._n = len(stations)
         self._others = [[o for o in stations if o is not s] for s in stations]
@@ -346,26 +323,10 @@ class Medium:
         chunk = _gain_chunks(self._nakagami_m, self._rng)
         if not hasattr(os, "fork"):
             return chunk
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            try:
-                os.close(read_fd)
-                _leave_cpu_of(os.getppid())
-                _feed(write_fd, chunk)
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        pipe = open(read_fd, "rb")
-        self._helper = weakref.finalize(self, _reap, os.getpid(), pid, pipe)
-        return partial(_read_chunk, pipe)
+        self._helper = _procs.Child(partial(_feed, chunk=chunk))
+        return partial(_read_chunk, self._helper.reader)
 
     def close(self) -> None:
         """End the gain helper, if one was forked."""
         if self._helper is not None:
-            self._helper()
+            self._helper.end()

@@ -4,8 +4,10 @@
                    [--protocol parrot|greedy|flood] [--channel rural|urban]
                    [--out DIR] [--trace]
 
-A campaign's seeded runs execute side by side in forked worker processes,
-one per usable core; the output does not depend on how many there are.
+The choices of `--protocol` and `--channel` are `simulator.PROTOCOLS` and
+`channel.CHANNEL_MODELS`.  A campaign's seeded runs execute side by side in
+worker processes (see `campaign`), one per usable core; the output does
+not depend on how many there are.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error.
 """
@@ -17,7 +19,9 @@ import os
 import sys
 
 from .campaign import aggregate_point, emit_csv, parse_config, run_campaign
+from .channel import CHANNEL_MODELS
 from .errors import ConfigError
+from .simulator import PROTOCOLS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,8 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--seed", type=int, help="campaign base seed")
     run_p.add_argument("--runs", type=int, help="runs per sweep point")
-    run_p.add_argument("--protocol", choices=["parrot", "greedy", "flood"])
-    run_p.add_argument("--channel", choices=["rural", "urban"])
+    run_p.add_argument("--protocol", choices=PROTOCOLS)
+    run_p.add_argument("--channel", choices=CHANNEL_MODELS)
     run_p.add_argument("--out", help="output directory for results.csv")
     run_p.add_argument("--trace", action="store_true",
                        help="write per-run position traces next to the CSV")

@@ -32,6 +32,8 @@ from parrot_net.campaign import (
 from parrot_net.errors import ConfigError
 from parrot_net.simulator import Scenario, run
 
+from conftest import no_child_left
+
 # A 5 m cube: its diagonal, 8.7 m, is below twice the default r_w of 10 m.
 FIVE_METRE_BOX = [
     "box_x=5", "box_y=5", "box_z=5", "nodes=2", "duration=1", "warmup=0.5", "runs=1",
@@ -486,32 +488,11 @@ class TestCli:
         assert len(line.split(",")) == 5
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 # Two sweep points of two runs: four cells, whose metrics all differ, so a
 # cell gathered out of order shows.
 PARALLEL = TINY + [
     "nodes=6", "box_x=400", "box_y=400", "runs=2", "sweep_values=0.3,0.7", "trace=true",
 ]
-
-
-@pytest.fixture
-def count_forks(monkeypatch):
-    """Count the workers that campaigns fork from this process."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
 
 
 def _cores(monkeypatch, n):
@@ -559,14 +540,14 @@ class TestParallelCells:
         emit_csv(results, str(out / "r.csv"))
         return results
 
-    def test_workers_change_no_output(self, tmp_path, count_forks, monkeypatch):
+    def test_workers_change_no_output(self, tmp_path, forks, monkeypatch):
         _cores(monkeypatch, 1)
         serial = self.run_into(tmp_path / "serial")
-        assert count_forks == []
+        assert forks == []
         _cores(monkeypatch, 2)
         parallel = self.run_into(tmp_path / "parallel")
-        assert len(count_forks) == 2
-        _no_child_left()
+        assert len(forks) == 2
+        no_child_left()
         assert parallel == serial
         cells = [m for point in serial for m in point.metrics]
         assert all(a != b for i, a in enumerate(cells) for b in cells[:i])
@@ -577,15 +558,15 @@ class TestParallelCells:
             assert ((tmp_path / "parallel" / name).read_bytes()
                     == (tmp_path / "serial" / name).read_bytes()), name
 
-    def test_no_more_workers_than_cells(self, count_forks, monkeypatch):
+    def test_no_more_workers_than_cells(self, forks, monkeypatch):
         _cores(monkeypatch, 8)
         run_campaign(parse_config(None, TINY + ["runs=3"]))
-        assert len(count_forks) == 3
+        assert len(forks) == 3
         run_campaign(parse_config(None, TINY + ["runs=1"]))
-        assert len(count_forks) == 3
-        _no_child_left()
+        assert len(forks) == 3
+        no_child_left()
 
-    def test_campaign_returns_metrics_in_scenario_order(self, count_forks, monkeypatch):
+    def test_campaign_returns_metrics_in_scenario_order(self, forks, monkeypatch):
         # Any list of scenarios, not only a config's cells: the acceptance
         # arms run through it.
         _cores(monkeypatch, 2)
@@ -593,9 +574,9 @@ class TestParallelCells:
         scenarios = [replace(base, seed=seed, nodes=nodes)
                      for seed, nodes in ((3, 4), (1, 5), (2, 4))]
         assert campaign.campaign(scenarios) == [run(sc) for sc in scenarios]
-        assert len(count_forks) == 2
+        assert len(forks) == 2
         assert campaign.campaign([]) == []
-        _no_child_left()
+        no_child_left()
 
     def test_cells_stay_here_without_fork(self, monkeypatch):
         _cores(monkeypatch, 1)
@@ -614,7 +595,7 @@ class TestParallelCells:
         cfg = parse_config(None, PARALLEL + [f"out={tmp_path}"])
         with pytest.raises(IsADirectoryError):
             run_campaign(cfg)
-        _no_child_left()
+        no_child_left()
 
     def test_worker_error_exits_two(self, tmp_path, capsys, monkeypatch):
         _cores(monkeypatch, 2)
@@ -623,7 +604,7 @@ class TestParallelCells:
                         + ["--out", str(tmp_path)])
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
     def test_failed_fork_leaks_nothing(self, monkeypatch):
@@ -641,10 +622,31 @@ class TestParallelCells:
         fds = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(BlockingIOError):
             run_campaign(parse_config(None, TINY + ["runs=2"]))
-        _no_child_left()
+        no_child_left()
         assert sorted(os.listdir("/proc/self/fd")) == fds
 
-    def test_urban_cells_return_from_forked_workers(self, count_forks, monkeypatch):
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_worker_without_a_result_is_an_error(self, forks, monkeypatch):
+        # The first worker (two of three cells) ends without writing; the
+        # second (one cell) would sleep for a minute unless it is killed.
+        _cores(monkeypatch, 2)
+
+        def work(out, cells, parent):
+            if len(cells) == 1:
+                time.sleep(60)
+
+        monkeypatch.setattr(campaign, "_work", work)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError) as err:
+            run_campaign(parse_config(None, TINY + ["runs=3"]))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        assert str(err.value) == f"campaign worker {forks[0]} ended without a result"
+        no_child_left()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+
+    def test_urban_cells_return_from_forked_workers(self, forks, monkeypatch):
         # Each urban cell forks its gain helper inside its worker; no helper
         # may keep a worker's result pipe open after the worker ends.
         _cores(monkeypatch, 2)
@@ -661,8 +663,8 @@ class TestParallelCells:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert len(count_forks) == 2
-        _no_child_left()
+        assert len(forks) == 2
+        no_child_left()
         assert forked == [run(sc) for sc in scenarios]
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import signal
 from array import array
 from dataclasses import replace
 from random import Random
@@ -28,6 +29,8 @@ from parrot_net.channel import (
 from parrot_net.errors import ConfigError
 from parrot_net.kinematics import MobilityConfig, MotionTable, Vec3, make_random_waypoint_state
 from parrot_net.simulator import Frame, Scenario, run
+
+from conftest import no_child_left
 
 
 class TestMeanRxPower:
@@ -293,33 +296,12 @@ class TestMedium:
             Medium(self.budget, "orbital", Random(0), motion(0, 2, 0), [0, 1])
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The processes forked from this one: here, gain helpers."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 def child_running() -> bool:
     """Whether a child of this process is still running."""
     try:
         return os.waitpid(-1, os.WNOHANG) == (0, 0)
     except ChildProcessError:
         return False
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestGainHelper:
@@ -421,4 +403,27 @@ class TestGainHelper:
         assert len(forks) == 1 and child_running()
         del medium
         gc.collect()
+        no_child_left()
+
+    def test_a_killed_helper_fails_the_run(self, forks):
+        # Killed after the first frame, the helper leaves the whole chunks
+        # it wrote; the medium reads them out and then raises, where a frame
+        # would otherwise take fewer gains than it has receivers.
+        medium = Medium(default_budget(), URBAN, Random(11), motion(5, self.n, 0),
+                        list(range(self.n)))
+        taken = []
+        try:
+            with pytest.raises(EOFError):
+                for k in range(20 * 1024):  # more gains than a pipe holds
+                    frame = Frame(k % self.n, None, "data", None, 100)
+                    medium.hears(frame)
+                    taken.append(len(frame.fading))
+                    if k == 0:
+                        os.kill(forks[-1], signal.SIGKILL)
+        finally:
+            medium.close()
+        # The run failed just as the helper's whole chunks of 1024 gains ran
+        # out: what was left of them is less than one frame's gains.
+        assert len(forks) == 1 and set(taken) == {self.n - 1}
+        assert -len(taken) * (self.n - 1) % 1024 < self.n - 1
         no_child_left()
