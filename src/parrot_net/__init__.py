@@ -54,7 +54,6 @@ from .routing import (
     compute_let,
 )
 from .simulator import (
-    DataPacket,
     RunMetrics,
     Scenario,
     Simulation,

@@ -455,13 +455,13 @@ def prediction_accuracy_study(
     figure checks replay consistency, not an estimate; the slope and
     hold-position figures are measured errors.
     """
-    horizon_ticks = int(cfg.tau / cfg.dt + 1e-9)
+    horizon_ticks = cfg.ticks(cfg.tau)
     errors = {"waypoint": [], "slope": [], "naive": []}
     for trial in range(trials):
         rng = Random(stable_seed(base_seed, "prediction-study", trial))
         state = make_random_waypoint_state(box, speed_mps, duration + cfg.tau, rng, cfg)
         states = [state]
-        ticks = int((duration + cfg.tau) / cfg.dt + 1e-9)
+        ticks = cfg.ticks(duration + cfg.tau)
         for _ in range(ticks):
             state = step_random_waypoint(state, cfg)
             states.append(state)

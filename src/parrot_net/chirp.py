@@ -26,6 +26,7 @@ assert CHIRP_SIZE == 40
 
 _SEQ_MOD = 1 << 16
 _SEQ_HALF = 1 << 15
+_U32 = 1 << 32
 
 
 class MalformedFrameError(ValueError):
@@ -51,10 +52,21 @@ class Chirp:
     ttl: int
 
 
-def _check(originator: int, px: float, py: float, pz: float, qx: float, qy: float,
-           qz: float, reward: float, cohesion: float, seq: int, ttl: int) -> None:
-    """Refuse field values outside the chirp domain, given in wire order."""
-    if not 0 <= originator < (1 << 32):
+def _check(fields: tuple) -> None:
+    """Refuse field values outside the chirp domain, given in wire order.
+
+    One test passes the whole domain: comparisons with NaN are false, and
+    a sum of six finite positions is finite unless it overflows a double
+    (six binary32 values cannot), so a finite sum means all six are finite.
+    Only a chirp that fails it is tested field by field, to name the field
+    at fault.
+    """
+    originator, px, py, pz, qx, qy, qz, reward, cohesion, seq, ttl = fields
+    if (0 <= originator < _U32 and 0.0 <= reward <= 1.0 and 0.0 <= cohesion <= 1.0
+            and math.isfinite(px + py + pz + qx + qy + qz)
+            and 0 <= seq < _SEQ_MOD and 0 <= ttl < _SEQ_MOD):
+        return
+    if not 0 <= originator < _U32:
         raise ChirpValidationError(f"originator {originator} out of u32 range")
     isfinite = math.isfinite
     if not (isfinite(px) and isfinite(py) and isfinite(pz)
@@ -74,7 +86,7 @@ def encode_chirp(c: Chirp) -> bytes:
     """Encode to the 40-byte frame; refuses invariant-violating chirps."""
     p, q = c.position, c.predicted_position
     fields = (c.originator, p.x, p.y, p.z, q.x, q.y, q.z, c.reward, c.cohesion, c.seq, c.ttl)
-    _check(*fields)
+    _check(fields)
     return _FRAME.pack(*fields)
 
 
@@ -87,14 +99,8 @@ def decode_chirp(frame: bytes) -> Chirp:
     if len(frame) != CHIRP_SIZE:
         raise MalformedFrameError(f"expected {CHIRP_SIZE} bytes, got {len(frame)}")
     fields = _FRAME.unpack(frame)
+    _check(fields)
     orig, px, py, pz, qx, qy, qz, reward, cohesion, seq, ttl = fields
-    # The whole domain in one test: the integer fields cannot leave their
-    # wire ranges, comparisons with NaN are false, and a sum of six finite
-    # binary32 values cannot overflow a double, so it is finite exactly
-    # when all six are.  `_check` then names the field at fault.
-    if not (0.0 <= reward <= 1.0 and 0.0 <= cohesion <= 1.0
-            and math.isfinite(px + py + pz + qx + qy + qz)):
-        _check(*fields)
     return Chirp(orig, Vec3(px, py, pz), Vec3(qx, qy, qz), reward, cohesion, seq, ttl)
 
 

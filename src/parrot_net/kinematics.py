@@ -120,6 +120,11 @@ class MobilityConfig:
         require(self.r_w > 0, "r_w", self.r_w, "be > 0")
         require(self.h >= 2, "h", self.h, "be >= 2")
 
+    def ticks(self, seconds: float) -> int:
+        """Whole mobility ticks in `seconds`, forgiving the rounding error
+        of a span that is a multiple of dt."""
+        return int(seconds / self.dt + 1e-9)
+
 
 @slot_init
 @dataclass(frozen=True, slots=True)
@@ -292,7 +297,7 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     if state.speed * cfg.dt <= 0.0:
         return pos
     x, y, z, k = pos.x, pos.y, pos.z, state.cursor
-    for _ in range(int(cfg.tau / cfg.dt + 1e-9)):
+    for _ in range(cfg.ticks(cfg.tau)):
         x, y, z, k = motion_step(x, y, z, k, state.waypoints, state.speed, cfg.dt, cfg.r_w)
     return Vec3(x, y, z)
 

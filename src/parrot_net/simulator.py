@@ -12,8 +12,10 @@ the scenario seed with a stable hash, so re-runs are bit-identical.
 
 Each periodic source (the mobility ticks, each node's chirps, the CBR
 stream) keeps one pending event and schedules its successor when it
-fires, and a packet's state lives only until its last copy dies, so the
-event queue and the packet book do not grow with the length of the run.
+fires, and a packet lives only until its last copy dies, so the event
+queue and the set of live packets do not grow with the length of the run.
+A packet is one object, shared by all of its copies; each data frame
+carries it with the hop budget left to that copy.
 Events at one timestamp fire by rank: the tick (rank 0) first, so that
 positions update before anything else, then node i's chirp (rank 1 + i),
 then the CBR emission (rank n + 1), then every other event in the order
@@ -42,7 +44,6 @@ from .kinematics import (
     Vec3,
     disk_joined,
     make_random_waypoint_state,
-    slot_init,
 )
 # Bound for perfbench/tracer.py, which hooks the names here; the motion
 # table steps through `kinematics.motion_step`.
@@ -136,17 +137,6 @@ class Scenario:
                 "payload", "duration")
 
 
-@slot_init
-@dataclass(frozen=True, slots=True)
-class DataPacket:
-    pid: int
-    src: int
-    dst: int
-    emit_time: float
-    hops_left: int
-    measured: bool
-
-
 @dataclass(slots=True)
 class Frame:
     """Link-layer frame; link_dest None means broadcast.
@@ -160,10 +150,11 @@ class Frame:
     sender: int
     link_dest: int | None
     kind: str  # "chirp" | "data"
-    payload: object  # bytes for chirps, DataPacket for data
+    payload: object  # bytes for chirps, the _Packet for data
     size: int  # bytes incl. header overhead
     attempts: int = 0
     fading: list[float] | None = None
+    hops: int = 0  # the hop budget left to a data frame's copy
 
 
 @dataclass
@@ -184,10 +175,13 @@ class RunMetrics:
         return sum(self.latencies) / len(self.latencies) if self.latencies else math.nan
 
 
-class _PacketState:
-    __slots__ = ("measured", "delivered", "fail", "copies", "flooded")
+class _Packet:
+    """One emitted data packet, shared by every copy of it."""
 
-    def __init__(self, measured: bool):
+    __slots__ = ("emit_time", "measured", "delivered", "fail", "copies", "flooded")
+
+    def __init__(self, emit_time: float, measured: bool):
+        self.emit_time = emit_time
         self.measured = measured
         self.delivered = False
         self.fail: str | None = None
@@ -282,10 +276,10 @@ class Simulation:
         rng_traffic = Random(stable_seed(scenario.seed, "traffic"))
 
         cfg = scenario.mobility
-        self._n_ticks = int(scenario.duration / cfg.dt + 1e-9)
+        self._n_ticks = cfg.ticks(scenario.duration)
         # Ticks in the self-prediction horizon, as the waypoint predictor
         # counts its virtual steps.
-        self._lead = int(cfg.tau / cfg.dt + 1e-9)
+        self._lead = cfg.ticks(cfg.tau)
         # Up to duration + tau: the waypoint self-prediction at tick k
         # replays the same motion law, so it is the position at k + `_lead`.
         self.motion = MotionTable(
@@ -311,10 +305,9 @@ class Simulation:
         # Metrics and bookkeeping.  `packets` holds the packets that still
         # have a live copy; `_outcomes` counts the measured ones that died,
         # by "delivered" or drop cause.
-        self.packets: dict[int, _PacketState] = {}
+        self.packets: set[_Packet] = set()
         self._outcomes: Counter[str] = Counter()
         self.latencies: list[float] = []
-        self._next_pid = 0
         self._sent = 0
         self.chirp_frames = 0
         # The disk bound, counted at measured emissions: how many found the
@@ -406,18 +399,9 @@ class Simulation:
                                  CHIRP_SIZE + self.sc.header_overhead))
 
     def _emit_packet(self) -> None:
-        measured = self.now >= self.sc.warmup
-        pkt = DataPacket(
-            pid=self._next_pid,
-            src=self.sender,
-            dst=self.receiver,
-            emit_time=self.now,
-            hops_left=self.sc.hop_budget,
-            measured=measured,
-        )
-        self._next_pid += 1
-        self.packets[pkt.pid] = _PacketState(measured)
-        if measured:
+        pkt = _Packet(self.now, self.now >= self.sc.warmup)
+        self.packets.add(pkt)
+        if pkt.measured:
             self._sent += 1
             # Ticks fire before emissions at equal timestamps, so the
             # current tick is the latest trace snapshot at this emission.
@@ -425,45 +409,36 @@ class Simulation:
                 self._reach = self.motion.joined(self._tick_index, self.medium.r_tx,
                                                  self.sender, self.receiver)
             self._reachable += self._reach
-        self._forward_data(self.nodes[pkt.src], pkt)
+        self._forward_data(self.nodes[self.sender], pkt, self.sc.hop_budget)
 
     # -- routing dispatch -----------------------------------------------------
 
-    def _forward_data(self, node: _Node, pkt: DataPacket) -> None:
-        if pkt.hops_left <= 0:
+    def _forward_data(self, node: _Node, pkt: _Packet, hops: int) -> None:
+        """Send a copy of `pkt` on from `node`, which holds it with `hops`
+        hops of budget left."""
+        if hops <= 0:
             self._note_fail(pkt, DROP_TTL)
             return
         proto = self.sc.protocol
         if proto == "flood":
-            flooded = self.packets[pkt.pid].flooded
-            if node.id in flooded:
-                self._drop_copy(pkt.pid)
+            if node.id in pkt.flooded:
+                self._drop_copy(pkt)
                 return
-            flooded.add(node.id)
-            self._enqueue_data(node, None, pkt)
-        elif proto == "greedy":
-            positions = {j: rec.position for j, rec in node.routing.neighbors.items()}
-            # Destination position is an oracle lookup from the live state.
-            dest_pos = self.nodes[pkt.dst].position
-            hop = greedy_next_hop(positions, node.position, dest_pos)
-            if hop is None:
-                self._note_fail(pkt, DROP_NO_ROUTE)
-            else:
-                self._enqueue_data(node, hop, pkt)
+            pkt.flooded.add(node.id)
+            hop = None
         else:
-            hop = node.routing.select_next_hop(pkt.dst)
+            if proto == "greedy":
+                positions = {j: rec.position for j, rec in node.routing.neighbors.items()}
+                # Destination position is an oracle lookup from the live state.
+                hop = greedy_next_hop(positions, node.position,
+                                      self.nodes[self.receiver].position)
+            else:
+                hop = node.routing.select_next_hop(self.receiver)
             if hop is None:
                 self._note_fail(pkt, DROP_NO_ROUTE)
-            else:
-                self._enqueue_data(node, hop, pkt)
-
-    def _enqueue_data(self, node: _Node, link_dest: int | None, pkt: DataPacket) -> None:
-        self.enqueue(node, Frame(
-            node.id, link_dest, "data",
-            DataPacket(pkt.pid, pkt.src, pkt.dst, pkt.emit_time, pkt.hops_left - 1,
-                       pkt.measured),
-            self.sc.payload + self.sc.header_overhead,
-        ))
+                return
+        self.enqueue(node, Frame(node.id, hop, "data", pkt,
+                                 self.sc.payload + self.sc.header_overhead, hops=hops - 1))
 
     # -- MAC ------------------------------------------------------------------
 
@@ -524,12 +499,13 @@ class Simulation:
                     if isinstance(action, Forward):
                         self._forward_chirp(receiver, action.chirp)
         else:
-            pkt: DataPacket = frame.payload
+            pkt: _Packet = frame.payload
             if len(clean) > 1:
-                # A broadcast heard cleanly by several nodes forks its copy.
-                self.packets[pkt.pid].copies += len(clean) - 1
+                # A broadcast heard cleanly by several nodes forks its copy,
+                # and each fork keeps the frame's budget.
+                pkt.copies += len(clean) - 1
             for receiver in clean:
-                self._deliver_data(receiver, pkt)
+                self._deliver_data(receiver, pkt, frame.hops)
             if dest is not None:
                 if not clean:
                     # A target that heard the frame corrupted lost it to a
@@ -552,16 +528,15 @@ class Simulation:
 
     # -- reception --------------------------------------------------------------
 
-    def _deliver_data(self, receiver: _Node, pkt: DataPacket) -> None:
-        if receiver.id == pkt.dst:
-            state = self.packets[pkt.pid]
-            if not state.delivered:
-                state.delivered = True
-                if state.measured:
+    def _deliver_data(self, receiver: _Node, pkt: _Packet, hops: int) -> None:
+        if receiver.id == self.receiver:
+            if not pkt.delivered:
+                pkt.delivered = True
+                if pkt.measured:
                     self.latencies.append(self.now - pkt.emit_time)
-            self._drop_copy(pkt.pid)
+            self._drop_copy(pkt)
             return
-        self._forward_data(receiver, pkt)
+        self._forward_data(receiver, pkt, hops)
 
     def _forward_chirp(self, node: _Node, chirp: Chirp) -> None:
         """Re-broadcast `chirp` from `node` after a random jitter."""
@@ -572,24 +547,22 @@ class Simulation:
 
     # -- accounting ---------------------------------------------------------------
 
-    def _note_fail(self, pkt: DataPacket, cause: str) -> None:
+    def _note_fail(self, pkt: _Packet, cause: str) -> None:
         # Last recorded failure wins; a packet that was delivered anywhere
         # (flooding duplicates) stops collecting failure causes.
-        state = self.packets[pkt.pid]
-        if not state.delivered:
-            state.fail = cause
-        self._drop_copy(pkt.pid)
+        if not pkt.delivered:
+            pkt.fail = cause
+        self._drop_copy(pkt)
 
-    def _drop_copy(self, pid: int) -> None:
-        """A copy of packet `pid` is gone; with its last, fold the packet
-        into the outcome counts and forget it."""
-        state = self.packets[pid]
-        state.copies -= 1
-        if state.copies:
+    def _drop_copy(self, pkt: _Packet) -> None:
+        """A copy of `pkt` is gone; with its last, fold the packet into the
+        outcome counts and forget it."""
+        pkt.copies -= 1
+        if pkt.copies:
             return
-        del self.packets[pid]
-        if state.measured:
-            self._outcomes[state.outcome()] += 1
+        self.packets.remove(pkt)
+        if pkt.measured:
+            self._outcomes[pkt.outcome()] += 1
 
     # -- run ------------------------------------------------------------------------
 
@@ -617,7 +590,7 @@ class Simulation:
         # stand: one that carries no recorded failure is charged as
         # unreachable.
         outcomes = self._outcomes + Counter(
-            state.outcome() for state in self.packets.values() if state.measured
+            pkt.outcome() for pkt in self.packets if pkt.measured
         )
         sent = self._sent
         delivered = outcomes["delivered"]

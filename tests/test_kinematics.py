@@ -56,6 +56,18 @@ def make_state(position, speed, waypoints=(), history=()):
     )
 
 
+class TestTicks:
+    def test_a_multiple_of_dt_counts_whole_despite_rounding(self):
+        cfg = MobilityConfig(dt=0.1)
+        assert 0.3 / 0.1 < 3
+        assert cfg.ticks(0.3) == 3
+        assert cfg.ticks(2.5) == 25
+
+    def test_a_partial_tick_is_not_counted(self):
+        assert MobilityConfig(dt=0.1).ticks(0.35) == 3
+        assert MobilityConfig(dt=0.5).ticks(0.0) == 0
+
+
 class TestPredictWaypoint:
     def test_straight_line(self):
         cfg = MobilityConfig(dt=0.1, tau=2.5, r_w=10.0)

@@ -277,6 +277,30 @@ class TestMacBehavior:
         assert len(node.queue) == sc.queue_limit
 
 
+class TestHopBudget:
+    @staticmethod
+    def line_run(hop_budget):
+        # Script the channel into the line sender - relay - receiver: each
+        # node hears only its neighbours on the line, and the fourth node
+        # hears nobody.
+        sim = Simulation(quiet_flood_scenario(hop_budget=hop_budget))
+        relay = min(set(range(4)) - {sim.sender, sim.receiver})
+        links = {sim.sender: [relay], relay: [sim.sender, sim.receiver],
+                 sim.receiver: [relay]}
+        sim.medium.hears = lambda frame: [sim.nodes[j] for j in sorted(links[frame.sender])]
+        return sim.run()
+
+    def test_one_hop_of_budget_dies_at_the_relay(self):
+        m = self.line_run(1)
+        assert m.sent > 0
+        assert m.drops["ttl"] == m.sent
+
+    def test_two_hops_of_budget_reach_the_receiver(self):
+        m = self.line_run(2)
+        assert m.sent > 0
+        assert m.pdr == 1.0
+
+
 class TestGreedyNextHop:
     def test_picks_closest_progressing_neighbor(self):
         positions = {1: Vec3(80, 0, 0), 2: Vec3(120, 0, 0)}
@@ -496,17 +520,22 @@ class TestRunLengthMemory:
     def test_finished_run_is_freed_without_a_collection(self, channel):
         # Events still pending at the end of the run hold bound methods of
         # the simulation; left on its heap they would make it cyclic
-        # garbage that only a full collection frees.  The last packet,
-        # emitted at 9.8 s, ends its first hop at 9.80048 s, and its
-        # re-broadcasts are still on the air when the run ends.
-        sim = Simulation(quiet_flood_scenario(duration=9.8005, channel=channel))
+        # garbage that only a full collection frees, and so would a bound
+        # method kept on the simulation or a node.  Under flooding the last
+        # packet, emitted at 9.8 s, ends its first hop at 9.80048 s, and
+        # its re-broadcasts are still on the air when the run ends.
         enabled = gc.isenabled()
         gc.disable()
         try:
-            sim.run()
-            ref = weakref.ref(sim)
-            del sim
-            assert ref() is None
+            for protocol in PROTOCOLS:
+                gc.collect()
+                sim = Simulation(quiet_flood_scenario(duration=9.8005, channel=channel,
+                                                      protocol=protocol))
+                sim.run()
+                ref = weakref.ref(sim)
+                del sim
+                assert ref() is None, protocol
+                assert gc.collect() == 0, protocol
         finally:
             if enabled:
                 gc.enable()

@@ -21,7 +21,6 @@ import pytest
 from parrot_net.chirp import Chirp
 from parrot_net.kinematics import KinematicState, Vec3, slot_init
 from parrot_net.routing import Discard, Forward
-from parrot_net.simulator import DataPacket
 
 CHIRP = Chirp(7, Vec3(1.0, 2.0, 3.0), Vec3(4.0, 5.0, 6.0), 0.5, 0.25, 9, 16)
 
@@ -30,7 +29,6 @@ CASES = [
     (Vec3, (1.5, -2.0, 3.25)),
     (KinematicState, (Vec3(1.0, 2.0, 3.0), 4.0, (Vec3(5.0, 6.0, 7.0),), 1, (Vec3(),))),
     (Chirp, (7, Vec3(1.0, 2.0, 3.0), Vec3(4.0, 5.0, 6.0), 0.5, 0.25, 9, 16)),
-    (DataPacket, (3, 0, 1, 0.25, 32, True)),
     (Forward, (CHIRP,)),
     (Discard, ("stale",)),
 ]
