@@ -4,7 +4,8 @@ One SHA-256 over every field of every `RunMetrics` of a small scenario
 matrix (protocol x channel x tau x seed, in an open and a tight box), floats
 in hex.  It pins the exact outputs, so a refactor or a speed-up that changes
 any run by one bit fails here.  In the tight box every node passes several
-waypoints within a run, so the queues' on-demand draws are covered.
+waypoints within a run, so the queues' on-demand draws are covered.  The
+prediction study's figures at the criterion-5 point are pinned the same way.
 """
 
 import hashlib
@@ -12,7 +13,8 @@ import json
 from dataclasses import replace
 from itertools import product
 
-from parrot_net.kinematics import Vec3
+from parrot_net.campaign import prediction_accuracy_study
+from parrot_net.kinematics import MobilityConfig, Vec3
 from parrot_net.simulator import Scenario, run
 
 GOLDEN = "1b90b2486b0395b12af484b4a1ac99cb98d0da34ae30f16f618ba61ebba085d7"
@@ -46,3 +48,13 @@ def digest(runs) -> str:
 
 def test_run_metrics_match_golden_digest():
     assert digest(scenarios()) == GOLDEN
+
+
+def test_prediction_study_matches_golden_figures():
+    errors = prediction_accuracy_study(50 / 3.6, MobilityConfig(tau=2.5), duration=60.0,
+                                       trials=10)
+    assert {method: e.hex() for method, e in errors.items()} == {
+        "naive": "0x1.0c3ae2722a10ep+5",
+        "slope": "0x1.c7e661e80ee3bp+1",
+        "waypoint": "0x0.0p+0",
+    }
