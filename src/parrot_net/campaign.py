@@ -24,12 +24,11 @@ from .channel import budget_for_radius
 from .errors import ConfigError, require, within
 from .kinematics import (
     MobilityConfig,
+    MotionTable,
     Vec3,
     make_random_waypoint_state,
     predict_slope,
-    predict_waypoint,
     prediction_error,
-    step_random_waypoint,
 )
 from . import simulator
 from .simulator import DROP_CAUSES, RunMetrics, Scenario, run, stable_seed
@@ -435,6 +434,10 @@ def emit_csv(results: list[PointResult], path: str) -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+# Positions, newest last, that the study's slope predictor extrapolates.
+_SLOPE_SAMPLES = 5
+
+
 def prediction_accuracy_study(
     speed_mps: float,
     cfg: MobilityConfig,
@@ -446,33 +449,33 @@ def prediction_accuracy_study(
     """Mean prediction error of the three predictors over random waypoint
     trajectories: waypoint replay, slope extrapolation, and hold-position.
 
-    Predictions made at every tick are scored against the true position one
-    horizon later.  Returns mean errors in meters keyed by method.
+    Each trial steps one node's `MotionTable`.  Predictions made at every
+    tick are scored against the true position one horizon later.  Returns
+    mean errors in meters keyed by method.
 
-    The waypoint error is 0.0 by construction: `predict_waypoint` replays
-    `motion_step` over the same endless waypoint queue that the trajectory
-    itself draws from, so its prediction is the true position.  That
-    figure checks replay consistency, not an estimate; the slope and
-    hold-position figures are measured errors.
+    The waypoint prediction at tick i is the table's row one horizon ahead,
+    which is how a run reads its self-prediction (`Simulation._place`), so
+    its error is 0.0 by construction: that figure checks replay
+    consistency, not an estimate.  The slope prediction extrapolates the
+    last `_SLOPE_SAMPLES` rows up to tick i, and hold-position predicts row
+    i; those two figures are measured errors.
     """
+    require(trials >= 1, "trials", trials, "be >= 1")
+    for name, value in (("duration", duration), ("speed_mps", speed_mps)):
+        require(math.isfinite(value) and value >= 0, name, value, "be finite and >= 0")
     horizon_ticks = cfg.ticks(cfg.tau)
+    ticks = cfg.ticks(duration + cfg.tau)
     errors = {"waypoint": [], "slope": [], "naive": []}
     for trial in range(trials):
         rng = Random(stable_seed(base_seed, "prediction-study", trial))
         state = make_random_waypoint_state(box, speed_mps, duration + cfg.tau, rng, cfg)
-        states = [state]
-        ticks = cfg.ticks(duration + cfg.tau)
-        for _ in range(ticks):
-            state = step_random_waypoint(state, cfg)
-            states.append(state)
-        for i in range(0, len(states) - horizon_ticks):
-            current = states[i]
-            actual = states[i + horizon_ticks].position
-            errors["waypoint"].append(
-                prediction_error(predict_waypoint(current, cfg), actual)
-            )
-            errors["slope"].append(
-                prediction_error(predict_slope(current, cfg), actual)
-            )
-            errors["naive"].append(prediction_error(current.position, actual))
+        table = MotionTable([state], cfg, ticks)
+        rows = [table.row(k)[0] for k in range(ticks + 1)]
+        for i in range(len(rows) - horizon_ticks):
+            # The waypoint prediction at tick i, read as `Simulation._place` reads it.
+            waypoint = actual = rows[i + horizon_ticks]
+            errors["waypoint"].append(prediction_error(waypoint, actual))
+            recent = rows[max(0, i + 1 - _SLOPE_SAMPLES):i + 1]
+            errors["slope"].append(prediction_error(predict_slope(recent, cfg), actual))
+            errors["naive"].append(prediction_error(rows[i], actual))
     return {method: _mean(vals) for method, vals in errors.items()}

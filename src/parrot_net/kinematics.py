@@ -3,7 +3,7 @@
 Random waypoint queues are endless, drawn on demand.  Two predictors are
 provided: a waypoint-aware one that virtually replays the discretized motion
 law along the waypoint queue, and a slope predictor that extrapolates the
-average velocity of the recent position history.
+average velocity of a few recent positions.
 """
 
 from __future__ import annotations
@@ -105,20 +105,17 @@ class MobilityConfig:
     dt: mobility update interval in seconds.
     tau: prediction horizon in seconds.
     r_w: waypoint containment radius in meters.
-    h: history samples kept for the slope predictor (unused by the simulator).
     """
 
     dt: float = 0.1
     tau: float = 2.5
     r_w: float = 10.0
-    h: int = 5
 
     def __post_init__(self) -> None:
         require_finite(self)
         require(self.dt > 0, "dt", self.dt, "be > 0")
         require(self.tau >= 0, "tau", self.tau, "be >= 0")
         require(self.r_w > 0, "r_w", self.r_w, "be > 0")
-        require(self.h >= 2, "h", self.h, "be >= 2")
 
     def ticks(self, seconds: float) -> int:
         """Whole mobility ticks in `seconds`, forgiving the rounding error
@@ -133,18 +130,13 @@ class KinematicState:
 
     `waypoints` is an endless `WaypointQueue`, or a finite queue built by
     hand, after which the node stops; `cursor` indexes the waypoint steered
-    for.  `history` holds the last positions sampled once per mobility tick,
-    newest last.
+    for.
     """
 
     position: Vec3
     speed: float
     waypoints: Sequence[Vec3] = ()
     cursor: int = 0
-    history: tuple[Vec3, ...] = ()
-
-    def remaining_waypoints(self) -> int:
-        return max(0, len(self.waypoints) - self.cursor)
 
 
 class WaypointQueue(list):
@@ -292,6 +284,9 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     Runs floor(tau / dt) virtual steps of the waypoint follower without
     mutating `state`.  If the queue empties mid-prediction the virtual node
     holds position for the remaining steps.
+    Also bound as `predict_position`, an oracle: a run reads its
+    `MotionTable` instead, `TestMotionTable` compares the two, and
+    `perfbench/` binds the name.
     """
     pos = state.position
     if state.speed * cfg.dt <= 0.0:
@@ -302,29 +297,20 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     return Vec3(x, y, z)
 
 
-def predict_slope(state: KinematicState, cfg: MobilityConfig) -> Vec3:
-    """Slope fallback: extrapolate the mean velocity of the history ring.
+predict_position = predict_waypoint
 
-    Falls back to the current position when fewer than two samples exist.
+
+def predict_slope(positions: Sequence[Vec3], cfg: MobilityConfig) -> Vec3:
+    """Slope predictor: extrapolate the mean velocity of `positions`, at
+    least one, sampled once per mobility tick, newest last, tau seconds on
+    from the newest.  A single position is its own prediction.
     """
-    hist = state.history
-    if len(hist) < 2:
-        return state.position
+    if len(positions) < 2:
+        return positions[-1]
     total = Vec3()
-    for prev, cur in zip(hist, hist[1:]):
+    for prev, cur in zip(positions, positions[1:]):
         total = total + (cur - prev) * (1.0 / cfg.dt)
-    return state.position + total * (cfg.tau / (len(hist) - 1))
-
-
-def predict_position(state: KinematicState, cfg: MobilityConfig) -> Vec3:
-    """Preferred predictor: waypoint-aware when a trajectory is known.  An
-    oracle: a run reads its `MotionTable` instead, `TestMotionTable` compares
-    the two, and `perfbench/` binds the name."""
-    if state.remaining_waypoints() > 0:
-        return predict_waypoint(state, cfg)
-    if len(state.history) >= 2:
-        return predict_slope(state, cfg)
-    return state.position
+    return positions[-1] + total * (cfg.tau / (len(positions) - 1))
 
 
 def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
@@ -332,17 +318,14 @@ def step_random_waypoint(state: KinematicState, cfg: MobilityConfig) -> Kinemati
 
     Uses the exact step rule the waypoint predictor replays, so a spawned
     node, whose queue is endless, is predicted with zero error and holds
-    position only at speed 0.  Returns a new state; the history ring gains
-    one sample.
+    position only at speed 0.  Returns a new state.
     An oracle: a run steps its `MotionTable` instead, `TestMotionTable`
     compares the two, and `perfbench/` binds the name.
     """
     p = state.position
     x, y, z, k = motion_step(p.x, p.y, p.z, state.cursor, state.waypoints,
                              state.speed, cfg.dt, cfg.r_w)
-    pos = Vec3(x, y, z)
-    hist = (state.history + (pos,))[-cfg.h:]
-    return replace(state, position=pos, cursor=k, history=hist)
+    return replace(state, position=Vec3(x, y, z), cursor=k)
 
 
 def _uniform_point(bounds: Vec3, rng: Random) -> Vec3:
@@ -376,13 +359,7 @@ def make_random_waypoint_state(
             f"node at the centre would draw waypoints forever, got {bounds}"
         )
     spawn = _uniform_point(bounds, rng)
-    return KinematicState(
-        position=spawn,
-        speed=speed,
-        waypoints=WaypointQueue(bounds, rng),
-        cursor=0,
-        history=(spawn,),
-    )
+    return KinematicState(position=spawn, speed=speed, waypoints=WaypointQueue(bounds, rng))
 
 
 def prediction_error(predicted: Vec3, actual: Vec3) -> float:

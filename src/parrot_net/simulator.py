@@ -195,12 +195,12 @@ class _Packet:
 
 
 class _Node:
-    __slots__ = ("id", "position", "routing", "queue", "transmitting", "busy", "clean")
+    __slots__ = ("id", "routing", "queue", "transmitting", "busy", "clean")
 
     def __init__(self, node_id: int):
         self.id = node_id
-        self.position = Vec3()  # at the latest mobility tick; see Simulation._place
-        # Set by Simulation, once its channel gives r_TX.
+        # Set by Simulation, once its channel gives r_TX; its `self_position`
+        # is the node's position at the latest mobility tick.
         self.routing: RoutingState
         self.queue: deque[Frame] = deque()
         self.transmitting: Frame | None = None
@@ -330,7 +330,6 @@ class Simulation:
         k + `_lead`.
         """
         for node, position, predicted in zip(self.nodes, self._ahead[0], self._ahead[-1]):
-            node.position = position
             node.routing.update_self(position, predicted)
 
     @property
@@ -430,8 +429,8 @@ class Simulation:
             if proto == "greedy":
                 positions = {j: rec.position for j, rec in node.routing.neighbors.items()}
                 # Destination position is an oracle lookup from the live state.
-                hop = greedy_next_hop(positions, node.position,
-                                      self.nodes[self.receiver].position)
+                hop = greedy_next_hop(positions, node.routing.self_position,
+                                      self.nodes[self.receiver].routing.self_position)
             else:
                 hop = node.routing.select_next_hop(self.receiver)
             if hop is None:

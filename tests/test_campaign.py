@@ -26,10 +26,12 @@ from parrot_net.campaign import (
     mean_ci,
     parse_config,
     percentile,
+    prediction_accuracy_study,
     run_campaign,
     usable_cores,
 )
 from parrot_net.errors import ConfigError
+from parrot_net.kinematics import MobilityConfig
 from parrot_net.simulator import Scenario, run
 
 from conftest import no_child_left
@@ -700,6 +702,18 @@ class TestParallelCells:
             proc.wait()
             for pid in _session(proc.pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 0), ("trials", -1), ("duration", -10.0), ("duration", math.nan),
+    ("duration", math.inf), ("speed_mps", -1.0), ("speed_mps", math.nan),
+    ("speed_mps", math.inf),
+])
+def test_prediction_study_refuses_bad_arguments_at_entry(name, value):
+    args = {"speed_mps": 10.0, "duration": 1.0, "trials": 1, name: value}
+    with pytest.raises(ConfigError, match=f"^{name} ") as err:
+        prediction_accuracy_study(cfg=MobilityConfig(), **args)
+    assert err.value.fields == (name,)
 
 
 def test_history_key_is_retired():

@@ -46,14 +46,8 @@ def brute_force_trajectory(pos, waypoints, speed, dt, r_w, steps):
     return tuple(pos)
 
 
-def make_state(position, speed, waypoints=(), history=()):
-    return KinematicState(
-        position=position,
-        speed=speed,
-        waypoints=tuple(waypoints),
-        cursor=0,
-        history=tuple(history),
-    )
+def make_state(position, speed, waypoints=()):
+    return KinematicState(position=position, speed=speed, waypoints=tuple(waypoints), cursor=0)
 
 
 class TestTicks:
@@ -109,47 +103,37 @@ class TestPredictWaypoint:
 
 class TestPredictSlope:
     def test_hand_example(self):
-        cfg = MobilityConfig(dt=0.1, tau=1.0, h=3)
-        state = make_state(
-            Vec3(2, 0, 0), 10.0,
-            history=[Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(2, 0, 0)],
-        )
-        assert predict_slope(state, cfg).distance_to(Vec3(12, 0, 0)) < 1e-9
+        cfg = MobilityConfig(dt=0.1, tau=1.0)
+        hist = [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(2, 0, 0)]
+        assert predict_slope(hist, cfg).distance_to(Vec3(12, 0, 0)) < 1e-9
 
     def test_four_sample_example(self):
-        cfg = MobilityConfig(dt=0.5, tau=2.5, h=4)
+        cfg = MobilityConfig(dt=0.5, tau=2.5)
         hist = [Vec3(0, 0, 0), Vec3(0, 1, 0), Vec3(0, 2, 0), Vec3(0, 3, 0)]
-        state = make_state(Vec3(0, 3, 0), 2.0, history=hist)
-        assert predict_slope(state, cfg).distance_to(Vec3(0, 8, 0)) < 1e-9
+        assert predict_slope(hist, cfg).distance_to(Vec3(0, 8, 0)) < 1e-9
 
     def test_constant_history_is_identity(self):
         cfg = MobilityConfig(dt=0.1, tau=3.0)
-        hist = [Vec3(7, 7, 7)] * 5
-        state = make_state(Vec3(7, 7, 7), 0.0, history=hist)
-        assert predict_slope(state, cfg) == Vec3(7, 7, 7)
+        assert predict_slope([Vec3(7, 7, 7)] * 5, cfg) == Vec3(7, 7, 7)
 
     def test_degenerate_history_returns_position(self):
         cfg = MobilityConfig()
-        state = make_state(Vec3(1, 2, 3), 5.0, history=[Vec3(1, 2, 3)])
-        assert predict_slope(state, cfg) == Vec3(1, 2, 3)
+        assert predict_slope([Vec3(1, 2, 3)], cfg) == Vec3(1, 2, 3)
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0, 4.0])
     def test_linear_in_tau(self, tau):
         hist = [Vec3(0, 0, 0), Vec3(1, 2, 3), Vec3(2, 4, 6)]
-        state = make_state(Vec3(2, 4, 6), 10.0, history=hist)
-        base = predict_slope(state, MobilityConfig(dt=0.1, tau=tau))
-        double = predict_slope(state, MobilityConfig(dt=0.1, tau=2 * tau))
-        d1 = base - state.position
-        d2 = double - state.position
+        base = predict_slope(hist, MobilityConfig(dt=0.1, tau=tau))
+        double = predict_slope(hist, MobilityConfig(dt=0.1, tau=2 * tau))
+        d1 = base - hist[-1]
+        d2 = double - hist[-1]
         assert (d2 - d1 * 2.0).norm() < 1e-9
 
 
 class TestRandomWaypoint:
     def test_exhausted_queue_is_stationary(self):
         cfg = MobilityConfig()
-        state = KinematicState(
-            position=Vec3(5, 5, 5), speed=10.0, waypoints=(), cursor=0, history=(Vec3(5, 5, 5),)
-        )
+        state = KinematicState(position=Vec3(5, 5, 5), speed=10.0, waypoints=(), cursor=0)
         stepped = step_random_waypoint(state, cfg)
         assert stepped.position == Vec3(5, 5, 5)
 
@@ -190,15 +174,6 @@ class TestRandomWaypoint:
             assert -1e-9 <= p.x <= bounds.x + 1e-9
             assert -1e-9 <= p.y <= bounds.y + 1e-9
             assert -1e-9 <= p.z <= bounds.z + 1e-9
-
-    def test_history_ring_bounded(self):
-        cfg = MobilityConfig(h=5)
-        state = make_random_waypoint_state(Vec3(100, 100, 100), 10.0, 10.0, Random(1), cfg)
-        for _ in range(50):
-            state = step_random_waypoint(state, cfg)
-        assert len(state.history) == 5
-        assert state.history[-1] == state.position
-
 
     def test_waypoints_are_drawn_in_spawn_then_queue_order(self):
         # The spawn, then one uniform triple per waypoint, all from the
@@ -266,27 +241,21 @@ class TestPredictionAgreement:
             assert prediction_error(predicted, actual) < 1e-6
 
     def test_waypoint_and_slope_agree_on_straight_track(self):
-        cfg = MobilityConfig(dt=0.1, tau=2.0, r_w=10.0, h=5)
-        # Far waypoint: straight unobstructed motion, warmed-up history.
+        cfg = MobilityConfig(dt=0.1, tau=2.0, r_w=10.0)
+        # Far waypoint: straight unobstructed motion, five recent positions.
         state = make_state(Vec3(0, 0, 0), 10.0, [Vec3(1000, 0, 0)])
+        recent = []
         for _ in range(10):
             state = step_random_waypoint(state, cfg)
+            recent = (recent + [state.position])[-5:]
         wp = predict_waypoint(state, cfg)
-        slope = predict_slope(state, cfg)
+        slope = predict_slope(recent, cfg)
         assert wp.distance_to(slope) < 1e-6
 
     def test_dispatcher_prefers_waypoints(self):
         cfg = MobilityConfig(dt=0.1, tau=1.0, r_w=5.0)
-        state = make_state(
-            Vec3(0, 0, 0), 10.0, [Vec3(100, 0, 0)],
-            history=[Vec3(0, -1, 0), Vec3(0, 0, 0)],
-        )
+        state = make_state(Vec3(0, 0, 0), 10.0, [Vec3(100, 0, 0)])
         assert predict_position(state, cfg) == predict_waypoint(state, cfg)
-        no_wp = make_state(
-            Vec3(0, 0, 0), 10.0, (),
-            history=[Vec3(0, -1, 0), Vec3(0, 0, 0)],
-        )
-        assert predict_position(no_wp, cfg) == predict_slope(no_wp, cfg)
 
 
 class TestDistance:
@@ -405,8 +374,6 @@ def test_config_invariants():
         MobilityConfig(tau=-1.0)
     with pytest.raises(ValueError):
         MobilityConfig(r_w=0.0)
-    with pytest.raises(ValueError):
-        MobilityConfig(h=1)
     for name in ("dt", "tau", "r_w"):
         for value in (math.nan, math.inf):
             with pytest.raises(ValueError, match="must be finite"):

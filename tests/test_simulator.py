@@ -243,8 +243,8 @@ class TestMacBehavior:
         # give both verdicts.  Spawn positions do not depend on the budget.
         sc = Scenario(nodes=2, box=Vec3(200, 200, 100), speed=0.0,
                       duration=1.0, warmup=0.0, channel="urban", seed=6)
-        a, b = Simulation(sc).nodes
-        distance = a.position.distance_to(b.position)
+        a, b = Simulation(sc).motion.row(0)
+        distance = a.distance_to(b)
         sim = Simulation(replace(sc, budget=budget_for_radius(distance)))
         sender, receiver = sim.nodes
         # The run's gain stream, in dB: n - 1 = 1 value per new frame.

@@ -27,7 +27,7 @@ CHIRP = Chirp(7, Vec3(1.0, 2.0, 3.0), Vec3(4.0, 5.0, 6.0), 0.5, 0.25, 9, 16)
 # Each decorated class with one full set of field values, in field order.
 CASES = [
     (Vec3, (1.5, -2.0, 3.25)),
-    (KinematicState, (Vec3(1.0, 2.0, 3.0), 4.0, (Vec3(5.0, 6.0, 7.0),), 1, (Vec3(),))),
+    (KinematicState, (Vec3(1.0, 2.0, 3.0), 4.0, (Vec3(5.0, 6.0, 7.0),), 1)),
     (Chirp, (7, Vec3(1.0, 2.0, 3.0), Vec3(4.0, 5.0, 6.0), 0.5, 0.25, 9, 16)),
     (Forward, (CHIRP,)),
     (Discard, ("stale",)),
