@@ -30,7 +30,8 @@ for point in results:
         f" {row['latency_mean_s'] * 1e3:13.3f} {row['optimal_bound_mean']:7.3f}"
     )
 
-out = Path(tempfile.mkdtemp(prefix="parrot_sweep_")) / "results.csv"
-emit_csv(results, str(out))
-print(f"\nCSV written to {out}")
-print(out.read_text().splitlines()[0])
+with tempfile.TemporaryDirectory(prefix="parrot_sweep_") as tmp:
+    out = Path(tmp) / "results.csv"
+    emit_csv(results, str(out))
+    print(f"\nCSV written to {out}")
+    print(out.read_text().splitlines()[0])

@@ -246,6 +246,7 @@ def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
         with within("mobility."):
             return replace(scenario, mobility=replace(scenario.mobility, tau=value))
     if param == "nodes":
+        require(float(value).is_integer(), "nodes", value, "be a whole number")
         return replace(scenario, nodes=int(value))
     if param == "speed_kmh":
         return replace(scenario, speed=value / _KMH_PER_MPS)

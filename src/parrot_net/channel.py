@@ -290,7 +290,7 @@ class Medium:
         n - 1) and kept on the frame, so a retry reuses them at the mean
         power of the current tick."""
         s = frame.sender
-        row = self.row(s)
+        row = self._rows[s] or self.row(s)
         if not self.urban:
             return row
         fading = frame.fading

@@ -10,10 +10,13 @@ function of its scenario, seed included: events fire in time order with a
 fixed tiebreak, and all randomness flows through generators derived from
 the scenario seed with a stable hash, so re-runs are bit-identical.
 
-Each periodic source (the mobility ticks, each node's chirps, the CBR
-stream) keeps one pending event and schedules its successor when it
-fires, and a packet lives only until its last copy dies, so the event
-queue and the set of live packets do not grow with the length of the run.
+An event is a heap entry (time, rank, fn, a, b) that fires as fn(a, b):
+it carries its arguments, so scheduling one builds no closure.  Each
+periodic source (the mobility ticks, each node's chirps, the CBR stream)
+keeps one pending event, whose handler takes its index k and first pushes
+event k + 1 of its source, and a packet lives only until its last copy
+dies, so the event queue and the set of live packets do not grow with the
+length of the run.
 A packet is one object, shared by all of its copies; each data frame
 carries it with the hop budget left to that copy.
 Events at one timestamp fire by rank: the tick (rank 0) first, so that
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
 from random import Random
 from typing import Callable
 
@@ -100,6 +103,13 @@ class Scenario:
     def validate(self) -> None:
         require_finite(self)
         require_finite(self.box, "box.")
+        # Counts: `range` refuses a float node count, and the MAC compares
+        # its limits with counts, where a queue_limit of 2.5 acts as 3.
+        for name in ("nodes", "payload", "queue_limit", "retry_limit", "hop_budget",
+                     "header_overhead"):
+            value = getattr(self, name)
+            require(isinstance(value, int) and not isinstance(value, bool), name, value,
+                    "be an int")
         require(self.nodes >= 2, "nodes", self.nodes, "be >= 2")
         for name in ("x", "y", "z"):
             require(getattr(self.box, name) > 0, f"box.{name}", getattr(self.box, name), "be > 0")
@@ -267,9 +277,10 @@ class Simulation:
         scenario.validate()
         self.sc = scenario
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        # The rank of the next dynamic event; see _start_streams.
-        self._next_rank = scenario.nodes + 2
+        self._heap: list[tuple[float, int, Callable[..., None], object, object]] = []
+        # The ranks of dynamic events, in the order they are scheduled; see
+        # _start_streams.
+        self._ranks = itertools.count(scenario.nodes + 2)
 
         self.rng_channel = Random(stable_seed(scenario.seed, "channel"))
         self.rng_mac = Random(stable_seed(scenario.seed, "mac"))
@@ -301,6 +312,7 @@ class Simulation:
         self._place()
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
+        self._data_size = scenario.payload + scenario.header_overhead
 
         # Metrics and bookkeeping.  `packets` holds the packets that still
         # have a live copy; `_outcomes` counts the measured ones that died,
@@ -339,65 +351,62 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, time: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, self._next_rank, fn))
-        self._next_rank += 1
-
     def _start_streams(self) -> None:
         """Schedule the first event of each periodic source.
 
-        Event k of a source fires at offset + k * interval.  A source has
+        Event k of a source fires at offset + k * interval, where the
+        offset is 0.0 for the ticks and the emissions.  A source has
         one pending event at a time, so a fixed rank per source breaks
         ties: the tick ranks 0, node i's chirp 1 + i and the CBR emission
         n + 1, so at a shared timestamp positions update first, then the
         chirps fire in node order, then the emission.  Dynamic events rank
         from n + 2 on, in the order they are scheduled.  Ticks stop at the
         motion table's last; chirps and emissions stop before `duration`.
+        Each handler pushes its source's next event when it fires.
         """
-        sc = self.sc
-        interval = sc.routing.chirp_interval
-
-        def before_end(k: int, time: float) -> bool:
-            return time < sc.duration
-
-        self._stream(self._tick, 0, 0.0, sc.mobility.dt, 1, lambda k, _: k <= self._n_ticks)
-        for node in self.nodes:
-            self._stream(partial(self._emit_chirp, node), 1 + node.id,
-                         self.rng_mac.uniform(0.0, interval), interval, 0, before_end)
-        self._stream(self._emit_packet, len(self.nodes) + 1, 0.0,
-                     sc.payload * 8 / sc.cbr_rate, 1, before_end)
-
-    def _stream(self, fire: Callable[[], None], rank: int, offset: float, interval: float,
-                k: int, keep: Callable[[int, float], bool]) -> None:
-        """Schedule event k of a periodic source at offset + k * interval
-        if `keep(k, time)` holds; when it fires, it first schedules event
-        k + 1."""
-        time = offset + k * interval
-        if keep(k, time):
-            def event() -> None:
-                self._stream(fire, rank, offset, interval, k + 1, keep)
-                fire()
-            heapq.heappush(self._heap, (time, rank, event))
+        sc, heap = self.sc, self._heap
+        self._chirp_interval = interval = sc.routing.chirp_interval
+        self._chirp_offsets = [self.rng_mac.uniform(0.0, interval) for _ in self.nodes]
+        self._cbr_interval = sc.payload * 8 / sc.cbr_rate
+        # The first events: tick 1, chirp 0 and emission 1, whose times
+        # offset + k * interval reduce to these bit for bit.
+        if 1 <= self._n_ticks:
+            heap.append((sc.mobility.dt, 0, self._tick, 1, None))
+        for node, offset in zip(self.nodes, self._chirp_offsets):
+            if offset < sc.duration:
+                heap.append((offset, 1 + node.id, self._emit_chirp, node, 0))
+        if self._cbr_interval < sc.duration:
+            heap.append((self._cbr_interval, len(self.nodes) + 1, self._emit_packet, 1, None))
+        heapq.heapify(heap)
 
     # -- event handlers -----------------------------------------------------
 
-    def _tick(self) -> None:
-        self._tick_index += 1
+    def _tick(self, k: int, _: None) -> None:
+        if k + 1 <= self._n_ticks:
+            time = 0.0 + (k + 1) * self.sc.mobility.dt
+            heapq.heappush(self._heap, (time, 0, self._tick, k + 1, None))
+        self._tick_index = k
         ahead = self._ahead
         ahead.popleft()
-        ahead.append(self.motion.row(self._tick_index + self._lead))
+        ahead.append(self.motion.row(k + self._lead))
         self._place()
         for node in self.nodes:
             node.routing.expire(self.now)
-        self.medium.tick(self._tick_index)
+        self.medium.tick(k)
         self._reach = None
 
-    def _emit_chirp(self, node: _Node) -> None:
+    def _emit_chirp(self, node: _Node, k: int) -> None:
+        time = self._chirp_offsets[node.id] + (k + 1) * self._chirp_interval
+        if time < self.sc.duration:
+            heapq.heappush(self._heap, (time, 1 + node.id, self._emit_chirp, node, k + 1))
         chirp = node.routing.make_chirp(self.now)
         self.enqueue(node, Frame(node.id, None, "chirp", encode_chirp(chirp),
                                  CHIRP_SIZE + self.sc.header_overhead))
 
-    def _emit_packet(self) -> None:
+    def _emit_packet(self, k: int, _: None) -> None:
+        time = 0.0 + (k + 1) * self._cbr_interval
+        if time < self.sc.duration:
+            heapq.heappush(self._heap, (time, len(self.nodes) + 1, self._emit_packet, k + 1, None))
         pkt = _Packet(self.now, self.now >= self.sc.warmup)
         self.packets.add(pkt)
         if pkt.measured:
@@ -436,8 +445,7 @@ class Simulation:
             if hop is None:
                 self._note_fail(pkt, DROP_NO_ROUTE)
                 return
-        self.enqueue(node, Frame(node.id, hop, "data", pkt,
-                                 self.sc.payload + self.sc.header_overhead, hops=hops - 1))
+        self.enqueue(node, Frame(node.id, hop, "data", pkt, self._data_size, 0, None, hops - 1))
 
     # -- MAC ------------------------------------------------------------------
 
@@ -450,18 +458,19 @@ class Simulation:
                 self._note_fail(frame.payload, DROP_QUEUE)
             return
         node.queue.append(frame)
-        self._kick(node)
+        if node.transmitting is None:
+            self._kick(node)
 
     def _requeue_front(self, node: _Node, frame: Frame) -> None:
         if len(node.queue) >= self.sc.queue_limit:
             self._note_fail(frame.payload, DROP_QUEUE)
             return
         node.queue.appendleft(frame)
-        self._kick(node)
+        if node.transmitting is None:
+            self._kick(node)
 
     def _kick(self, node: _Node) -> None:
-        if node.transmitting is not None or not node.queue:
-            return
+        """Start sending the head of the idle `node`'s non-empty queue."""
         frame = node.queue.popleft()
         node.transmitting = frame
         if frame.kind == "chirp":
@@ -473,55 +482,67 @@ class Simulation:
             other.clean = None if other.transmitting is not None or other.busy else frame
             other.busy += 1
         airtime = frame.size * 8 / self.sc.link_rate
-        self._schedule(self.now + airtime, partial(self._tx_end, node, frame, receivers))
+        heapq.heappush(self._heap, (self.now + airtime, next(self._ranks), self._tx_end, node,
+                                    receivers))
 
-    def _tx_end(self, node: _Node, frame: Frame, receivers: list[_Node]) -> None:
+    def _tx_end(self, node: _Node, receivers: list[_Node]) -> None:
+        frame = node.transmitting
         node.transmitting = None
         # Finalize the whole transmission before dispatching deliveries: a
         # delivery may start a new transmission at this same instant, which
         # must not retroactively corrupt receptions that already ended.  A
         # frame is never on the air twice at once (a retry is queued after
         # this), so `clean is frame` identifies this reception.
-        heard = []
-        for other in receivers:
-            other.busy -= 1
-            if other.clean is frame:
-                other.clean = None
-                heard.append(other)
         dest = frame.link_dest
-        clean = heard if dest is None else [other for other in heard if other.id == dest]
-        if frame.kind == "chirp":
-            if clean:
-                chirp = decode_chirp(frame.payload)
-                for receiver in clean:
-                    action = receiver.routing.handle_chirp(chirp, frame.sender, self.now)
-                    if isinstance(action, Forward):
-                        self._forward_chirp(receiver, action.chirp)
-        else:
-            pkt: _Packet = frame.payload
-            if len(clean) > 1:
+        if dest is None:
+            clean = []
+            for other in receivers:
+                other.busy -= 1
+                if other.clean is frame:
+                    other.clean = None
+                    clean.append(other)
+            if frame.kind == "chirp":
+                if clean:
+                    chirp = decode_chirp(frame.payload)
+                    for receiver in clean:
+                        action = receiver.routing.handle_chirp(chirp, frame.sender, self.now)
+                        if isinstance(action, Forward):
+                            self._forward_chirp(receiver, action.chirp)
+            elif clean:
                 # A broadcast heard cleanly by several nodes forks its copy,
                 # and each fork keeps the frame's budget.
+                pkt: _Packet = frame.payload
                 pkt.copies += len(clean) - 1
-            for receiver in clean:
-                self._deliver_data(receiver, pkt, frame.hops)
-            if dest is not None:
-                if not clean:
-                    # A target that heard the frame corrupted lost it to a
-                    # collision.
-                    heard_corrupted = any(other.id == dest for other in receivers)
-                    self._retry_or_drop(node, frame,
-                                        DROP_COLLISION if heard_corrupted else DROP_CHANNEL)
-            elif not clean:
+                for receiver in clean:
+                    self._deliver_data(receiver, pkt, frame.hops)
+            else:
                 # A flood branch that nobody heard cleanly dies here.
-                self._note_fail(pkt, DROP_COLLISION if receivers else DROP_CHANNEL)
-        self._kick(node)
+                self._note_fail(frame.payload, DROP_COLLISION if receivers else DROP_CHANNEL)
+        else:
+            # The target heard the frame cleanly, corrupted (a collision),
+            # or not at all (the channel).
+            target = None
+            cause = DROP_CHANNEL
+            for other in receivers:
+                other.busy -= 1
+                if other.clean is frame:
+                    other.clean = None
+                    if other.id == dest:
+                        target = other
+                elif other.id == dest:
+                    cause = DROP_COLLISION
+            if target is not None:
+                self._deliver_data(target, frame.payload, frame.hops)
+            else:
+                self._retry_or_drop(node, frame, cause)
+        if node.queue:
+            self._kick(node)
 
     def _retry_or_drop(self, node: _Node, frame: Frame, cause: str) -> None:
         frame.attempts += 1
         if frame.attempts <= self.sc.retry_limit:
-            self._schedule(self.now + self.sc.retry_backoff,
-                           partial(self._requeue_front, node, frame))
+            heapq.heappush(self._heap, (self.now + self.sc.retry_backoff, next(self._ranks),
+                                        self._requeue_front, node, frame))
             return
         self._note_fail(frame.payload, cause)
 
@@ -542,7 +563,7 @@ class Simulation:
         out = Frame(node.id, None, "chirp", encode_chirp(chirp),
                     CHIRP_SIZE + self.sc.header_overhead)
         delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
-        self._schedule(self.now + delay, partial(self.enqueue, node, out))
+        heapq.heappush(self._heap, (self.now + delay, next(self._ranks), self.enqueue, node, out))
 
     # -- accounting ---------------------------------------------------------------
 
@@ -567,13 +588,14 @@ class Simulation:
 
     def run(self) -> RunMetrics:
         sc = self.sc
+        heap, pop, duration = self._heap, heapq.heappop, sc.duration
         try:
-            while self._heap:
-                time, _, fn = heapq.heappop(self._heap)
-                if time > sc.duration:
+            while heap:
+                time, _, fn, a, b = pop(heap)
+                if time > duration:
                     break
                 self.now = time
-                fn()
+                fn(a, b)
         finally:
             self.medium.close()
         # The pending events hold bound methods of this simulation; drop

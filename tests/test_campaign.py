@@ -143,6 +143,15 @@ class TestParseConfig:
         assert cfg.sweep == "tau"
         assert cfg.sweep_values == [0.0, 1.5, 2.5]
 
+    def test_nodes_sweep_refuses_a_fractional_count(self):
+        # int(2.5) would run 2 nodes under a point labelled 2.5.
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, ["sweep=nodes", "sweep_values=3,2.5"])
+        for part in ("--set #2 'sweep_values'", "--set #1 'sweep'", "whole number"):
+            assert part in str(err.value)
+        cfg = parse_config(None, ["sweep=nodes", "sweep_values=3.0"])
+        assert apply_sweep(cfg.scenario, "nodes", cfg.sweep_values[0]).nodes == 3
+
     def test_tau_sweep_keeps_horizons_consistent(self):
         cfg = parse_config(None, ["sweep=tau", "sweep_values=0,2.5"])
         for value in cfg.sweep_values:

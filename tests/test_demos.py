@@ -22,3 +22,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    # A demo cleans up what it writes.
+    assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())

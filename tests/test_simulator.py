@@ -158,6 +158,18 @@ class TestRunBasics:
         with pytest.raises(ConfigError, match="must be finite"):
             Scenario(**overrides).validate()
 
+    @pytest.mark.parametrize("name, bad", [
+        ("nodes", 2.5), ("nodes", 3.0), ("payload", 1400.0), ("queue_limit", 2.5),
+        ("queue_limit", True), ("retry_limit", 1.5), ("hop_budget", 32.0),
+        ("header_overhead", 28.5),
+    ])
+    def test_non_integer_count_rejected(self, name, bad):
+        # A float node count fails at `range`; the MAC would act on a
+        # fractional limit as on the next whole one.
+        with pytest.raises(ConfigError, match=f"^{name} {bad!r} must be an int") as err:
+            Scenario(**{name: bad}).validate()
+        assert err.value.fields == (name,)
+
 
 class TestMacBehavior:
     def test_idle_medium_latency_is_exactly_airtime(self):
