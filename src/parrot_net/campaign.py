@@ -21,7 +21,7 @@ from typing import BinaryIO, Callable
 
 from ._procs import Child, usable_cores
 from .channel import budget_for_radius
-from .errors import ConfigError, require, within
+from .errors import ConfigError, require, require_fields, within
 from .kinematics import (
     MobilityConfig,
     MotionTable,
@@ -62,11 +62,16 @@ class CampaignConfig:
     sweep: str = "alpha"
     sweep_values: list[float] = field(default_factory=list)
     runs: int = 25
-    base_seed: int = 1
     out_dir: str = "."
     trace: bool = False
 
+    @property
+    def base_seed(self) -> int:
+        """The seed every run seed derives from: the scenario's."""
+        return self.scenario.seed
+
     def validate(self) -> None:
+        require_fields(self)
         require(self.runs >= 1, "runs", self.runs, "be >= 1")
         require(self.sweep in SWEEPABLE, "sweep", self.sweep, f"be one of {SWEEPABLE}")
         require(bool(self.sweep_values), "sweep_values", self.sweep_values, "not be empty")
@@ -101,9 +106,9 @@ def _parse_values(text: str) -> list[float]:
 # key -> (parser, the field it sets).  Fields are named from the Scenario
 # ("routing.alpha") or, for the campaign's own keys, from the
 # CampaignConfig ("runs").  The link-budget keys set the arguments of
-# `budget_for_radius` ("budget.r_tx"), `speed_kmh` sets `speed` in m/s and
-# `seed` also sets the campaign's base seed.  A key that is not given leaves
-# its field at the dataclass default; the dataclasses check every range.
+# `budget_for_radius` ("budget.r_tx") and `speed_kmh` sets `speed` in m/s.
+# A key that is not given leaves its field at the dataclass default; the
+# dataclasses check every range and type.
 _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "nodes": (int, "nodes"),
     "box_x": (_parse_float, "box.x"),
@@ -143,7 +148,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], str]] = {
     "trace": (_parse_bool, "trace"),
 }
 
-_CAMPAIGN_FIELDS = ("runs", "sweep", "sweep_values", "out_dir", "trace")
+_CAMPAIGN_KEYS = ("runs", "sweep", "sweep_values", "out", "trace")
 
 
 def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
@@ -204,27 +209,34 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None,
     return cfg
 
 
-def _build_campaign(values: dict[str, object]) -> CampaignConfig:
-    """The campaign that the parsed keys in `values` set, every other field
-    at its default."""
+def _with_keys(scenario: Scenario, values: dict[str, object]) -> Scenario:
+    """A copy of `scenario` with the fields set that the parsed Scenario keys
+    in `values` set, `speed_kmh` converted to m/s.  The link-budget keys
+    build a new budget through `budget_for_radius`."""
     parts: defaultdict[str, dict[str, object]] = defaultdict(dict)
     for key, value in values.items():
         part, _, name = _KEYS[key][1].rpartition(".")
         parts[part][name] = value
-    top = parts[""]
-    campaign = {name: top.pop(name) for name in _CAMPAIGN_FIELDS if name in top}
+    top = parts.pop("", {})
     if "speed" in top:
         top["speed"] = top["speed"] / _KMH_PER_MPS
-    base = Scenario()
-    with within("mobility."):
-        mobility = replace(base.mobility, **parts["mobility"])
-    with within("budget."):
-        budget = budget_for_radius(**parts["budget"]) if parts["budget"] else base.budget
-    scenario = replace(
-        base, **top, box=replace(base.box, **parts["box"]), mobility=mobility,
-        routing=replace(base.routing, **parts["routing"]), budget=budget,
-    )
-    cfg = CampaignConfig(scenario, base_seed=scenario.seed, **campaign)
+    budget = parts.pop("budget", None)
+    for part, names in parts.items():
+        with within(part + "."):
+            top[part] = replace(getattr(scenario, part), **names)
+    if budget is not None:
+        with within("budget."):
+            top["budget"] = budget_for_radius(**budget)
+    return replace(scenario, **top)
+
+
+def _build_campaign(values: dict[str, object]) -> CampaignConfig:
+    """The campaign that the parsed keys in `values` set, every other field
+    at its default."""
+    scenario = _with_keys(Scenario(), {key: value for key, value in values.items()
+                                       if key not in _CAMPAIGN_KEYS})
+    cfg = CampaignConfig(scenario, **{_KEYS[key][1]: value for key, value in values.items()
+                                      if key in _CAMPAIGN_KEYS})
     if "sweep_values" not in values and cfg.sweep in SWEEPABLE:
         # One point at the swept key's value, in the key's unit.
         current = values.get(cfg.sweep)
@@ -237,20 +249,13 @@ def _build_campaign(values: dict[str, object]) -> CampaignConfig:
 
 
 def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
-    """Return a copy of the scenario with one swept parameter applied."""
-    if param == "alpha":
-        return replace(scenario, routing=replace(scenario.routing, alpha=value))
-    if param == "gamma0":
-        return replace(scenario, routing=replace(scenario.routing, gamma0=value))
-    if param == "tau":
-        with within("mobility."):
-            return replace(scenario, mobility=replace(scenario.mobility, tau=value))
+    """Return a copy of the scenario with the swept key `param` set to
+    `value`, in the key's unit, as a file line or `--set` would set it."""
+    require(param in SWEEPABLE, "sweep", param, f"be one of {SWEEPABLE}")
     if param == "nodes":
         require(float(value).is_integer(), "nodes", value, "be a whole number")
-        return replace(scenario, nodes=int(value))
-    if param == "speed_kmh":
-        return replace(scenario, speed=value / _KMH_PER_MPS)
-    raise ConfigError(f"unknown sweep parameter '{param}'")
+        value = int(value)
+    return _with_keys(scenario, {param: value})
 
 
 def derive_run_seed(base_seed: int, param: str, value: float, run_index: int) -> int:

@@ -24,13 +24,13 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from random import Random
 from typing import BinaryIO, Callable, Sequence
 
 from . import _procs
-from .errors import ConfigError, require, require_finite
+from .errors import ConfigError, require, require_fields
 from .kinematics import MotionTable, distance
 
 _LIGHT_SPEED = 299_792_458.0
@@ -53,7 +53,7 @@ class LinkBudget:
     nakagami_m: float = 2.0
 
     def validate(self) -> None:
-        require_finite(self)
+        require_fields(self)
         require(self.path_loss_exponent > 0, "path_loss_exponent", self.path_loss_exponent,
                 "be > 0")
         require(self.d0 > 0, "d0", self.d0, "be > 0")
@@ -65,7 +65,6 @@ class LinkBudget:
         require(self.nakagami_m >= 0.5, "nakagami_m", self.nakagami_m, "be >= 0.5")
 
 
-@lru_cache(maxsize=64)
 def reference_loss_db(budget: LinkBudget) -> float:
     """Free-space loss at the reference distance d0."""
     return 20.0 * math.log10(4.0 * math.pi * budget.d0 * budget.frequency_hz / _LIGHT_SPEED)
@@ -91,7 +90,6 @@ def mean_rx_power(budget: LinkBudget, distance: float) -> float:
     return path_loss_law(budget)(distance)
 
 
-@lru_cache(maxsize=64)
 def compute_r_tx(budget: LinkBudget) -> float:
     """Deterministic communication radius: where mean power meets the
     receiver sensitivity.  Closed-form inverse of the log-distance law."""

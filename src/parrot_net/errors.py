@@ -35,11 +35,15 @@ def within(prefix: str):
         raise ConfigError(prefix + str(exc), *(prefix + f for f in exc.fields)) from None
 
 
-def require_finite(config: object, prefix: str = "") -> None:
-    """Reject the first float field of dataclass `config` that is NaN or
-    infinite, naming it (after `prefix`): every comparison with NaN is
-    false, so range checks alone let it through."""
+def require_fields(config: object, prefix: str = "") -> None:
+    """Reject the first field of dataclass `config`, naming it after `prefix`,
+    that is a NaN or infinite float, which range checks let through, or is
+    annotated `int` and holds a non-int or a bool, which `range` and `struct`
+    refuse and a limit compared with counts rounds up (2.5 acts as 3)."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{prefix}{f.name} must be finite, got {value}", prefix + f.name)
+        if f.type in ("int", int):
+            require(isinstance(value, int) and not isinstance(value, bool), prefix + f.name,
+                    value, "be an int")

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from random import Random
 from typing import Sequence
 
-from .errors import require, require_finite
+from .errors import require, require_fields
 
 
 def slot_init(cls: type) -> type:
@@ -112,7 +112,7 @@ class MobilityConfig:
     r_w: float = 10.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_fields(self)
         require(self.dt > 0, "dt", self.dt, "be > 0")
         require(self.tau >= 0, "tau", self.tau, "be >= 0")
         require(self.r_w > 0, "r_w", self.r_w, "be > 0")

@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .chirp import _SEQ_HALF, _SEQ_MOD, Chirp
-from .errors import require, require_finite
+from .errors import require, require_fields
 from .kinematics import Vec3, slot_init
 
 # Q values at or below this level are treated as "no route".
@@ -68,7 +68,7 @@ class RoutingParams:
     initial_ttl: int = 16
 
     def validate(self) -> None:
-        require_finite(self)
+        require_fields(self)
         require(0.0 < self.alpha <= 1.0, "alpha", self.alpha, "lie in (0, 1]")
         # gamma0 == 1 is allowed for the loop-freedom degradation experiment.
         require(0.0 < self.gamma0 <= 1.0, "gamma0", self.gamma0, "lie in (0, 1]")

@@ -40,7 +40,7 @@ from typing import Callable
 from . import channel as radio
 from .channel import LinkBudget, default_budget
 from .chirp import CHIRP_SIZE, Chirp, decode_chirp, encode_chirp
-from .errors import require, require_finite, within
+from .errors import require, require_fields, within
 from .kinematics import (
     MobilityConfig,
     MotionTable,
@@ -101,15 +101,8 @@ class Scenario:
     trace_path: str | None = None
 
     def validate(self) -> None:
-        require_finite(self)
-        require_finite(self.box, "box.")
-        # Counts: `range` refuses a float node count, and the MAC compares
-        # its limits with counts, where a queue_limit of 2.5 acts as 3.
-        for name in ("nodes", "payload", "queue_limit", "retry_limit", "hop_budget",
-                     "header_overhead"):
-            value = getattr(self, name)
-            require(isinstance(value, int) and not isinstance(value, bool), name, value,
-                    "be an int")
+        require_fields(self)
+        require_fields(self.box, "box.")
         require(self.nodes >= 2, "nodes", self.nodes, "be >= 2")
         for name in ("x", "y", "z"):
             require(getattr(self.box, name) > 0, f"box.{name}", getattr(self.box, name), "be > 0")
@@ -313,6 +306,7 @@ class Simulation:
 
         self.sender, self.receiver = rng_traffic.sample(range(scenario.nodes), 2)
         self._data_size = scenario.payload + scenario.header_overhead
+        self._chirp_size = CHIRP_SIZE + scenario.header_overhead
 
         # Metrics and bookkeeping.  `packets` holds the packets that still
         # have a live copy; `_outcomes` counts the measured ones that died,
@@ -383,7 +377,7 @@ class Simulation:
 
     def _tick(self, k: int, _: None) -> None:
         if k + 1 <= self._n_ticks:
-            time = 0.0 + (k + 1) * self.sc.mobility.dt
+            time = (k + 1) * self.sc.mobility.dt
             heapq.heappush(self._heap, (time, 0, self._tick, k + 1, None))
         self._tick_index = k
         ahead = self._ahead
@@ -400,11 +394,10 @@ class Simulation:
         if time < self.sc.duration:
             heapq.heappush(self._heap, (time, 1 + node.id, self._emit_chirp, node, k + 1))
         chirp = node.routing.make_chirp(self.now)
-        self.enqueue(node, Frame(node.id, None, "chirp", encode_chirp(chirp),
-                                 CHIRP_SIZE + self.sc.header_overhead))
+        self.enqueue(node, Frame(node.id, None, "chirp", encode_chirp(chirp), self._chirp_size))
 
     def _emit_packet(self, k: int, _: None) -> None:
-        time = 0.0 + (k + 1) * self._cbr_interval
+        time = (k + 1) * self._cbr_interval
         if time < self.sc.duration:
             heapq.heappush(self._heap, (time, len(self.nodes) + 1, self._emit_packet, k + 1, None))
         pkt = _Packet(self.now, self.now >= self.sc.warmup)
@@ -560,8 +553,7 @@ class Simulation:
 
     def _forward_chirp(self, node: _Node, chirp: Chirp) -> None:
         """Re-broadcast `chirp` from `node` after a random jitter."""
-        out = Frame(node.id, None, "chirp", encode_chirp(chirp),
-                    CHIRP_SIZE + self.sc.header_overhead)
+        out = Frame(node.id, None, "chirp", encode_chirp(chirp), self._chirp_size)
         delay = self.rng_mac.uniform(0.0, self.sc.forward_jitter)
         heapq.heappush(self._heap, (self.now + delay, next(self._ranks), self.enqueue, node, out))
 
@@ -616,7 +608,7 @@ class Simulation:
         sent = self._sent
         delivered = outcomes["delivered"]
         drops = {cause: outcomes[cause] for cause in DROP_CAUSES}
-        chirp_bytes = self.chirp_frames * (CHIRP_SIZE + self.sc.header_overhead)
+        chirp_bytes = self.chirp_frames * self._chirp_size
         bound = self._reachable / sent if sent > 0 else 0.0
         pdr = delivered / sent if sent > 0 else math.nan
         return RunMetrics(

@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 from random import Random
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from parrot_net.campaign import (
 )
 from parrot_net.errors import ConfigError
 from parrot_net.kinematics import MobilityConfig
+from parrot_net.routing import RoutingParams
 from parrot_net.simulator import Scenario, run
 
 from conftest import no_child_left
@@ -157,6 +159,58 @@ class TestParseConfig:
         for value in cfg.sweep_values:
             sc = apply_sweep(cfg.scenario, "tau", value)
             assert sc.mobility.tau == value
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", 0.3), ("gamma0", 0.7), ("tau", 1.5), ("nodes", 7.0), ("speed_kmh", 72.0),
+    ])
+    def test_sweep_sets_its_key_as_a_config_line_does(self, key, value):
+        swept = apply_sweep(Scenario(), key, value)
+        assert repr(swept) == repr(parse_config(None, [f"{key}={value:g}"]).scenario)
+
+    def test_sweep_of_a_key_that_is_not_sweepable_names_sweep(self):
+        with pytest.raises(ConfigError, match="^sweep 'dt' must be one of") as err:
+            apply_sweep(Scenario(), "dt", 0.1)
+        assert err.value.fields == ("sweep",)
+
+    def test_base_seed_is_the_scenario_seed(self):
+        assert parse_config(None, ["seed=9"]).base_seed == 9
+        cfg = CampaignConfig(Scenario(seed=4), sweep_values=[0.5])
+        assert cfg.base_seed == 4
+        with pytest.raises(TypeError):
+            CampaignConfig(Scenario(), base_seed=4)
+
+
+def _int_fields(cls) -> list[str]:
+    return [name for name, hint in get_type_hints(cls).items() if hint is int]
+
+
+# Every field annotated `int`, with the path its error names and a function
+# that validates the config holding it at a given value.
+_INT_FIELDS = (
+    [(name, name, lambda name, v: Scenario(**{name: v}).validate())
+     for name in _int_fields(Scenario)]
+    + [(name, f"routing.{name}",
+        lambda name, v: Scenario(routing=RoutingParams(**{name: v})).validate())
+       for name in _int_fields(RoutingParams)]
+    + [(name, name,
+        lambda name, v: CampaignConfig(Scenario(), sweep_values=[0.5], **{name: v}).validate())
+       for name in _int_fields(CampaignConfig)]
+)
+
+
+class TestIntFields:
+    def test_the_fields_are_found(self):
+        paths = {path for _, path, _ in _INT_FIELDS}
+        assert {"nodes", "seed", "payload", "routing.initial_ttl", "runs"} <= paths
+
+    @pytest.mark.parametrize("name, path, validate", _INT_FIELDS,
+                             ids=[path for _, path, _ in _INT_FIELDS])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_int_rejected_naming_the_field(self, name, path, validate, bad):
+        # `struct` refuses a float TTL, `range` a float node or run count.
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)} {bad!r} must be an int") as err:
+            validate(name, bad)
+        assert err.value.fields == (path,)
 
 
 def _floats(lo, hi, **kwargs):
