@@ -553,6 +553,25 @@ class TestRunLengthMemory:
                 gc.enable()
 
 
+class TestFloodConservation:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        channel=st.sampled_from(["rural", "urban"]),
+        nodes=st.integers(3, 6),
+        seed=st.integers(0, 2**31),
+    )
+    def test_conserves_packets_and_reruns_identically(self, channel, nodes, seed):
+        sc = Scenario(
+            nodes=nodes, box=Vec3(300, 300, 150), speed=90 / 3.6,
+            duration=4.0, warmup=1.0, cbr_rate=112000, protocol="flood",
+            channel=channel, seed=seed,
+        )
+        m = run(sc)
+        assert m.sent == m.delivered + sum(m.drops.values())
+        assert m.sent > 0
+        assert run(sc) == m
+
+
 class TestRunInvariants:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -563,8 +582,6 @@ class TestRunInvariants:
         duration=st.floats(1.0, 4.0),
         seed=st.integers(0, 2**31),
     )
-    @example(protocol="flood", channel="rural", nodes=6, speed_kmh=90.0, duration=4.0, seed=1)
-    @example(protocol="flood", channel="urban", nodes=6, speed_kmh=90.0, duration=4.0, seed=1)
     def test_documented_invariants_hold(self, protocol, channel, nodes, speed_kmh,
                                         duration, seed):
         sc = Scenario(
