@@ -259,8 +259,9 @@ def apply_sweep(scenario: Scenario, param: str, value: float) -> Scenario:
 
 
 def derive_run_seed(base_seed: int, param: str, value: float, run_index: int) -> int:
-    """Per-cell seed: base XOR stable point hash, reproducible cell by cell."""
-    return (base_seed ^ stable_seed(param, value, run_index)) & (2**63 - 1)
+    """Per-cell seed: base XOR stable point hash, reproducible cell by cell.
+    The point hashes as a float, so 6, 6.0 and `np.float64(6)` are one point."""
+    return (base_seed ^ stable_seed(param, float(value), run_index)) & (2**63 - 1)
 
 
 @dataclass
@@ -376,7 +377,7 @@ def mean_ci(values) -> tuple[float, float]:
     if n == 0:
         return math.nan, math.nan
     if n == 1:
-        return xs[0], 0.0
+        return xs[0], math.nan if math.isnan(xs[0]) else 0.0
     mean = _mean(xs)
     std = math.sqrt(math.fsum((x - mean) ** 2 for x in xs) / (n - 1))
     return mean, 1.96 * std / math.sqrt(n)

@@ -9,10 +9,11 @@ keeping the rural channel and the LET model mutually consistent.  `Medium`
 is the fast form of `receive` for a run: one verdict per transmission.
 
 A run's gains depend on nothing but its seed and `nakagami_m`, so an urban
-`Medium` draws them ahead on another core: from its first frame until it
-is closed, one helper process, forked through `_procs`, runs
-`nakagami_sampler` over its copy of the run's generator and streams the
-gains through a pipe.  They are bit-identical to gains drawn in process,
+`Medium` reads them as one iterator of gains in dB, drawn ahead on another
+core: from its first frame until it is closed, one helper process, forked
+through `_procs`, runs `nakagami_sampler` over its copy of the run's
+generator and writes the gains through a pipe, and each new frame takes the
+next n - 1 of them.  They are bit-identical to gains drawn in process,
 which is where they are drawn where `os.fork` does not exist.  Where Linux
 tells which CPU the run is on, the helper keeps off it if another usable
 CPU is left.
@@ -25,9 +26,9 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from random import Random
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from . import _procs
 from .errors import ConfigError, require, require_fields
@@ -225,9 +226,10 @@ def receive(budget: LinkBudget, model: str, distance: float, rng: Random) -> boo
 
 class Medium:
     """The channel of one run over the motion `table`, whose node i is
-    `stations[i]`; `tick(k)` moves it to tick k.  Urban gains are drawn
-    from `rng` by a helper process, forked at the first new frame and
-    ended by `close()` (or when the medium is collected)."""
+    `stations[i]`; `tick(k)` moves it to tick k.  Urban gains come from
+    one iterator over the gains that a helper process draws from `rng`,
+    forked at the first new frame and ended by `close()` (or when the
+    medium is collected)."""
 
     def __init__(self, budget: LinkBudget, model: str, rng: Random, table: MotionTable,
                  stations: Sequence) -> None:
@@ -238,11 +240,8 @@ class Medium:
         self.sensitivity_dbm = budget.sensitivity_dbm
         self._mean_power = path_loss_law(budget)
         self._nakagami_m, self._rng = budget.nakagami_m, rng
-        # The stream of gains in dB: those not yet taken by a frame are
-        # `_gains[_next:]`, and `_read` returns the next chunk once started.
-        self._gains: list[float] = []
-        self._next = 0
-        self._read: Callable[[], array] | None = None
+        # The stream of gains in dB, started at the first new frame.
+        self._gains: Iterator[float] | None = None
         self._helper: _procs.Child | None = None
         self._table = table
         self._n = len(stations)
@@ -293,36 +292,23 @@ class Medium:
             return row
         fading = frame.fading
         if fading is None:
-            if self._next + len(row) > len(self._gains):
-                self._refill(len(row))
-            start = self._next
-            end = self._next = start + len(row)
-            fading = frame.fading = self._gains[start:end]
+            gains = self._gains or self._start()
+            fading = frame.fading = list(islice(gains, len(row)))
         sensitivity = self.sensitivity_dbm
         return [
             other for other, power, db in zip(self._others[s], row, fading)
             if power + db >= sensitivity
         ]
 
-    def _refill(self, need: int) -> None:
-        """Drop the gains taken so far and read the stream until at least
-        `need` gains are buffered, starting it on the first call."""
-        gains = self._gains[self._next:]
-        self._next = 0
-        if self._read is None:
-            self._read = self._start()
-        while len(gains) < need:
-            gains += self._read()
-        self._gains = gains
-
-    def _start(self) -> Callable[[], array]:
-        """Fork the gain helper and return the reader of its stream; where
-        `os.fork` does not exist, return the in-process chunk function."""
+    def _start(self) -> Iterator[float]:
+        """Fork the gain helper and return the stream of gains it writes;
+        where `os.fork` does not exist, draw the chunks in process."""
         chunk = _gain_chunks(self._nakagami_m, self._rng)
-        if not hasattr(os, "fork"):
-            return chunk
-        self._helper = _procs.Child(partial(_feed, chunk=chunk))
-        return partial(_read_chunk, self._helper.reader)
+        if hasattr(os, "fork"):
+            self._helper = _procs.Child(partial(_feed, chunk=chunk))
+            chunk = partial(_read_chunk, self._helper.reader)
+        self._gains = chain.from_iterable(iter(chunk, None))
+        return self._gains
 
     def close(self) -> None:
         """End the gain helper, if one was forked."""

@@ -322,6 +322,12 @@ class TestSeeds:
         assert a == derive_run_seed(7, "tau", 2.5, 3)
         assert a != derive_run_seed(8, "tau", 2.5, 3)
 
+    def test_a_point_is_its_value_as_a_float(self):
+        # sweep_values=[6] runs the seeds of [6.0], the CLI's sweep_values=6.
+        for value in (6, 6.0, np.float64(6.0)):
+            assert derive_run_seed(1, "nodes", value, 0) == derive_run_seed(1, "nodes", 6.0, 0)
+        assert derive_run_seed(7, "tau", np.float64(2.5), 3) == derive_run_seed(7, "tau", 2.5, 3)
+
 
 class TestStatistics:
     def test_mean_ci_single_value(self):
@@ -342,9 +348,11 @@ class TestStatistics:
         assert abs(ci - expected) < 1e-12
 
     def test_nan_run_makes_mean_and_ci_nan(self):
-        # A run that measures no packet has pdr = nan; the cell must say so.
-        mean, ci = mean_ci([math.nan, 1.0])
-        assert math.isnan(mean) and math.isnan(ci)
+        # A run that measures no packet has pdr = nan; the cell must say so,
+        # also when it is the point's only run.
+        for values in ([math.nan, 1.0], [math.nan]):
+            mean, ci = mean_ci(values)
+            assert math.isnan(mean) and math.isnan(ci), values
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
@@ -393,15 +401,16 @@ class TestCampaign:
             f"trace_alpha_{value}_run{k}.txt" for value in ("0.3", "0.7") for k in (0, 1)
         ]
 
-    def test_cell_without_measured_packets_writes_row(self, tmp_path):
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_cell_without_measured_packets_writes_row(self, tmp_path, runs):
         # The warm-up covers the whole run, so no packet is measured.
-        cfg = parse_config(None, TINY + ["runs=2", "warmup=7.999"])
+        cfg = parse_config(None, TINY + [f"runs={runs}", "warmup=7.999"])
         results = run_campaign(cfg)
         assert all(m.sent == 0 for m in results[0].metrics)
         path = tmp_path / "r.csv"
         emit_csv(results, str(path))
         cells = dict(zip(CSV_COLUMNS, path.read_text().splitlines()[1].split(",")))
-        assert cells["runs"] == "2"
+        assert cells["runs"] == str(runs)
         assert cells["pdr_mean"] == cells["pdr_ci95"] == "nan"
         assert cells["latency_p99_s"] == "nan"
 

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in `src`."""
+"""Every demo script, and the benchmark's self-test, runs to completion
+against the library in `src`."""
 
 import os
 import subprocess
@@ -24,3 +25,10 @@ def test_demo_exits_cleanly(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     # A demo cleans up what it writes.
     assert not any(tmp_path.iterdir()), sorted(p.name for p in tmp_path.iterdir())
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's output checks and tracer hooks hold on this library.
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -573,6 +573,14 @@ class TestFloodConservation:
 
 
 class TestRunInvariants:
+    """The documented invariants of a run, over random scenarios.  "Rural
+    PDR <= bound" compares two aggregates of the run: the delivered share of
+    its measured packets against the share of its measured emissions whose
+    sender was joined to the receiver in the disk graph.  It is not a bound
+    per packet: a copy held in a queue, or a retry across a tick, can
+    arrive after the topology has joined, so a packet emitted while no path
+    existed can still be delivered."""
+
     @settings(max_examples=40, deadline=None)
     @given(
         protocol=st.sampled_from(PROTOCOLS),
