@@ -37,14 +37,12 @@ from .kinematics import (
     MobilityConfig,
     Vec3,
     make_random_waypoint_state,
-    predict_position,
     predict_slope,
     predict_waypoint,
     prediction_error,
     step_random_waypoint,
 )
 from .routing import (
-    CohesionHistory,
     Discard,
     Forward,
     NeighborRecord,

@@ -284,9 +284,9 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     Runs floor(tau / dt) virtual steps of the waypoint follower without
     mutating `state`.  If the queue empties mid-prediction the virtual node
     holds position for the remaining steps.
-    Also bound as `predict_position`, an oracle: a run reads its
-    `MotionTable` instead, `TestMotionTable` compares the two, and
-    `perfbench/` binds the name.
+    An oracle: a run reads its `MotionTable` instead, `TestMotionTable`
+    compares the two, and `perfbench/` hooks it through `simulator`, which
+    binds it as `predict_position`.
     """
     pos = state.position
     if state.speed * cfg.dt <= 0.0:
@@ -295,9 +295,6 @@ def predict_waypoint(state: KinematicState, cfg: MobilityConfig) -> Vec3:
     for _ in range(cfg.ticks(cfg.tau)):
         x, y, z, k = motion_step(x, y, z, k, state.waypoints, state.speed, cfg.dt, cfg.r_w)
     return Vec3(x, y, z)
-
-
-predict_position = predict_waypoint
 
 
 def predict_slope(positions: Sequence[Vec3], cfg: MobilityConfig) -> Vec3:

@@ -12,12 +12,16 @@ chirp's first contact with a neighbor or destination builds new state.
 Timeouts are checked behind a lower bound on the last-heard times of the
 records and one on the update times of the Q entries: each scan runs only
 when some record or entry can have timed out.
+
+A run drives a RoutingState through `update_self`, `make_chirp`,
+`handle_chirp`, `select_next_hop` and `expire`, and the state holds only
+what those read.  `RoutingState.gamma` and `QTable.get`, `row` and
+`destinations` are read-only test seams, and their docstrings say so.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .chirp import _SEQ_HALF, _SEQ_MOD, Chirp
@@ -30,7 +34,6 @@ Q_FLOOR = 1e-4
 DISCARD_STALE = "stale"
 DISCARD_SELF = "self-origin"
 DISCARD_TTL = "ttl-expired"
-DISCARD_MALFORMED = "malformed"
 
 
 @slot_init
@@ -49,7 +52,6 @@ ChirpAction = Discard | Forward
 
 # The verdicts are frozen values, so one instance per reason serves every
 # discard.
-_MALFORMED = Discard(DISCARD_MALFORMED)
 _SELF = Discard(DISCARD_SELF)
 _STALE = Discard(DISCARD_STALE)
 _TTL = Discard(DISCARD_TTL)
@@ -74,8 +76,8 @@ class RoutingParams:
         require(0.0 < self.gamma0 <= 1.0, "gamma0", self.gamma0, "lie in (0, 1]")
         for name in ("chirp_interval", "neighbor_timeout", "entry_timeout", "cohesion_window"):
             require(getattr(self, name) > 0.0, name, getattr(self, name), "be > 0")
-        # The chirp carries the TTL in 16 bits.
-        require(1 <= self.initial_ttl < (1 << 16), "initial_ttl", self.initial_ttl,
+        # The chirp carries the TTL, like the SEQ, in 16 bits.
+        require(1 <= self.initial_ttl < _SEQ_MOD, "initial_ttl", self.initial_ttl,
                 "lie in [1, 65535]")
 
 
@@ -84,7 +86,6 @@ class NeighborRecord:
     """What the last chirp heard directly from a neighbor told us; each
     later chirp from the neighbor overwrites the same record."""
 
-    node: int
     last_heard: float
     position: Vec3
     predicted_position: Vec3
@@ -118,6 +119,7 @@ class QTable:
         return True
 
     def get(self, dest: int, neighbor: int) -> float:
+        """Q(dest, neighbor), 0.0 when there is no entry; a test seam."""
         row = self._rows.get(dest)
         if row is None:
             return 0.0
@@ -193,24 +195,12 @@ class QTable:
         self._oldest = oldest
 
     def destinations(self) -> list[int]:
+        """The destinations with a Q entry; a test seam."""
         return list(self._rows)
 
     def row(self, dest: int) -> dict[int, float]:
+        """Q(dest, j) per neighbor j, as a copy; a test seam."""
         return {j: e.q for j, e in self._rows.get(dest, {}).items()}
-
-
-@dataclass
-class CohesionHistory:
-    """Two neighbor-set snapshots one cohesion window apart."""
-
-    snapshot: frozenset[int] = frozenset()
-    snapshot_time: float = 0.0
-
-    def refresh(self, now: float, current: Iterable[int], window: float) -> None:
-        """Take `current` as the new snapshot once `window` has elapsed."""
-        if now - self.snapshot_time >= window:
-            self.snapshot = frozenset(current)
-            self.snapshot_time = now
 
 
 def compute_let(delta_p: Vec3, delta_v: Vec3, r_tx: float) -> float:
@@ -261,7 +251,10 @@ class RoutingState:
         # A lower bound on the `last_heard` time of every record, so that
         # `expire` scans only when some neighbor can have timed out.
         self._quiet_since = -math.inf
-        self.cohesion = CohesionHistory(frozenset(), now)
+        # The neighbor set as `expire` last rolled it forward, and when:
+        # `phi_coh` compares the live set with it.
+        self.cohesion_snapshot: frozenset[int] = frozenset()
+        self.cohesion_time = now
         self.self_position = Vec3()
         self.self_prediction = Vec3()
         self._own_seq = 0
@@ -274,7 +267,7 @@ class RoutingState:
 
     def make_chirp(self, now: float) -> Chirp:
         """Originate a chirp: full reward, own mobility info, fresh SEQ."""
-        self._own_seq = (self._own_seq + 1) % (1 << 16)
+        self._own_seq = (self._own_seq + 1) % _SEQ_MOD
         return Chirp(
             originator=self.node_id,
             position=self.self_position,
@@ -287,7 +280,7 @@ class RoutingState:
 
     # -- chirp consumption --------------------------------------------------
 
-    def handle_chirp(self, chirp: Chirp, forwarder: int | None, now: float) -> ChirpAction:
+    def handle_chirp(self, chirp: Chirp, forwarder: int, now: float) -> ChirpAction:
         """Process a chirp received via `forwarder`.
 
         Stale and self-originated chirps are discarded outright.  Otherwise
@@ -297,8 +290,6 @@ class RoutingState:
         local Q as the new reward, TTL down by one.  A TTL that reaches zero
         stops the forwarding but not the local handling.
         """
-        if forwarder is None:
-            return _MALFORMED
         if chirp.originator == self.node_id:
             return _SELF
         dest = chirp.originator
@@ -308,7 +299,7 @@ class RoutingState:
         record = self.neighbors.get(forwarder)
         if record is None:
             record = self.neighbors[forwarder] = NeighborRecord(
-                forwarder, now, chirp.position, chirp.predicted_position, chirp.cohesion)
+                now, chirp.position, chirp.predicted_position, chirp.cohesion)
         else:
             record.last_heard = now
             record.position = chirp.position
@@ -335,13 +326,10 @@ class RoutingState:
 
     # -- metrics ------------------------------------------------------------
 
-    def q_update(self, dest: int, neighbor: int, reward: float, discount: float,
-                 now: float = 0.0) -> float:
-        """One learning step toward `dest` via `neighbor`; returns new Q."""
-        return self.table.update(dest, neighbor, self.params.alpha, discount, reward, now)
-
     def gamma(self, neighbor: int, now: float) -> float:
-        """Variable discount factor for a neighbor; KeyError when unknown."""
+        """Variable discount factor for a neighbor; KeyError when unknown.
+        A test seam: `handle_chirp` takes the same product from the record
+        in hand."""
         record = self.neighbors[neighbor]
         return self.params.gamma0 * self.phi_let(record, now) * record.cohesion
 
@@ -374,7 +362,7 @@ class RoutingState:
         """Neighbor-set stability in [0, 1] from the symmetric difference of
         the live set and the last snapshot.  Two empty sets score 1.0.
         Both sizes follow from the size of the intersection."""
-        snapshot = self.cohesion.snapshot
+        snapshot = self.cohesion_snapshot
         neighbors = self.neighbors
         if not neighbors and not snapshot:
             return 1.0
@@ -416,4 +404,6 @@ class RoutingState:
                 del neighbors[j]
             self._quiet_since = quiet_since
         self.table.evict(now, self.params.entry_timeout)
-        self.cohesion.refresh(now, self.neighbors, self.params.cohesion_window)
+        if now - self.cohesion_time >= self.params.cohesion_window:
+            self.cohesion_snapshot = frozenset(self.neighbors)
+            self.cohesion_time = now

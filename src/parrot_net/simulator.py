@@ -50,7 +50,8 @@ from .kinematics import (
 )
 # Bound for perfbench/tracer.py, which hooks the names here; the motion
 # table steps through `kinematics.motion_step`.
-from .kinematics import predict_position, step_random_waypoint  # noqa: F401
+from .kinematics import predict_waypoint as predict_position  # noqa: F401
+from .kinematics import step_random_waypoint  # noqa: F401
 from .routing import Forward, RoutingParams, RoutingState
 
 PROTOCOLS = ("parrot", "greedy", "flood")
@@ -444,21 +445,17 @@ class Simulation:
 
     def enqueue(self, node: _Node, frame: Frame) -> None:
         """The MAC entry point: queue `frame` at `node` and start sending
-        it if the node is idle.  A full queue refuses the frame, and a
-        refused data frame fails its packet."""
+        it if the node is idle.  A retry (`attempts > 0`) goes to the head
+        of the queue, any other frame to the tail.  A full queue refuses
+        the frame, and a refused data frame fails its packet."""
         if len(node.queue) >= self.sc.queue_limit:
             if frame.kind == "data":
                 self._note_fail(frame.payload, DROP_QUEUE)
             return
-        node.queue.append(frame)
-        if node.transmitting is None:
-            self._kick(node)
-
-    def _requeue_front(self, node: _Node, frame: Frame) -> None:
-        if len(node.queue) >= self.sc.queue_limit:
-            self._note_fail(frame.payload, DROP_QUEUE)
-            return
-        node.queue.appendleft(frame)
+        if frame.attempts:
+            node.queue.appendleft(frame)
+        else:
+            node.queue.append(frame)
         if node.transmitting is None:
             self._kick(node)
 
@@ -535,7 +532,7 @@ class Simulation:
         frame.attempts += 1
         if frame.attempts <= self.sc.retry_limit:
             heapq.heappush(self._heap, (self.now + self.sc.retry_backoff, next(self._ranks),
-                                        self._requeue_front, node, frame))
+                                        self.enqueue, node, frame))
             return
         self._note_fail(frame.payload, cause)
 

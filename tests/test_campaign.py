@@ -401,6 +401,16 @@ class TestCampaign:
             f"trace_alpha_{value}_run{k}.txt" for value in ("0.3", "0.7") for k in (0, 1)
         ]
 
+    def test_trace_refuses_values_that_share_a_file_name(self, tmp_path):
+        # Both values would write trace_alpha_0.123457_run0.txt.
+        overrides = TINY + ["runs=1", "sweep_values=0.1234567,0.1234568", f"out={tmp_path}"]
+        with pytest.raises(ConfigError, match=r"^--set #10 'sweep_values', --set #12 'trace': "
+                           r"sweep_values .* but two values read 0\.123457$") as err:
+            parse_config(None, overrides + ["trace=true"])
+        assert err.value.fields == ("sweep_values", "trace")
+        # Without traces no file is named by the label.
+        assert len(parse_config(None, overrides).sweep_values) == 2
+
     @pytest.mark.parametrize("runs", [1, 2])
     def test_cell_without_measured_packets_writes_row(self, tmp_path, runs):
         # The warm-up covers the whole run, so no packet is measured.

@@ -17,7 +17,6 @@ from parrot_net.kinematics import (
     disk_joined,
     distance,
     make_random_waypoint_state,
-    predict_position,
     predict_slope,
     predict_waypoint,
     prediction_error,
@@ -251,11 +250,6 @@ class TestPredictionAgreement:
         wp = predict_waypoint(state, cfg)
         slope = predict_slope(recent, cfg)
         assert wp.distance_to(slope) < 1e-6
-
-    def test_dispatcher_prefers_waypoints(self):
-        cfg = MobilityConfig(dt=0.1, tau=1.0, r_w=5.0)
-        state = make_state(Vec3(0, 0, 0), 10.0, [Vec3(100, 0, 0)])
-        assert predict_position(state, cfg) == predict_waypoint(state, cfg)
 
 
 class TestDistance:

@@ -17,7 +17,7 @@ from parrot_net.kinematics import (
     Vec3,
     make_random_waypoint_state,
     motion_step,
-    predict_position,
+    predict_waypoint,
     step_random_waypoint,
 )
 from parrot_net.routing import RoutingParams
@@ -230,6 +230,33 @@ class TestMacBehavior:
         expected = 4 * airtime + 3 * sc.retry_backoff
         assert m.pdr == 1.0
         assert all(abs(lat - expected) < 1e-9 for lat in m.latencies)
+
+    def test_retry_is_sent_before_frames_queued_behind_it(self):
+        # Script the channel: the first attempt of every unicast data frame
+        # fails.  Packets come faster than two attempts take, so frames
+        # queue behind each retry.
+        sc = Scenario(
+            nodes=2, box=Vec3(20, 20, 10), speed=0.0, duration=1.5,
+            warmup=1.0, cbr_rate=16e6, seed=2,
+        )
+        sim = Simulation(sc)
+        hears = sim.medium.hears
+        behind = []
+
+        def scripted(frame):
+            if frame.kind == "data":
+                queue = sim.nodes[frame.sender].queue
+                # A retry waits at the head, so no frame leaves before it.
+                assert not any(queued.attempts for queued in queue)
+                if frame.attempts == 0:
+                    return []
+                behind.append(len(queue))
+            return hears(frame)
+
+        sim.medium.hears = scripted
+        m = sim.run()
+        assert max(behind) > 0
+        assert m.drops["channel"] == 0 and m.delivered > 0
 
     def test_retries_exhausted_drops_channel(self):
         sc = Scenario(
@@ -671,4 +698,4 @@ class TestMotionTable:
                 replay.append(state.position)
             # repr tells every float apart bit for bit, -0.0 from 0.0 too.
             assert repr([positions[i] for _, positions in trace]) == repr(replay)
-            assert repr(node.routing.self_prediction) == repr(predict_position(state, cfg))
+            assert repr(node.routing.self_prediction) == repr(predict_waypoint(state, cfg))
