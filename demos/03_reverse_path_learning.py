@@ -38,7 +38,7 @@ for round_index in range(30):
     now = 0.5 * (round_index + 1)
     for state in states.values():
         state.expire(now)
-    chirp = states[D].make_chirp(now)
+    chirp = states[D].make_chirp()
     queue = [(neighbor, chirp, D) for neighbor in ADJACENCY[D]]
     while queue:
         node, incoming, forwarder, = queue.pop(0)

@@ -81,13 +81,14 @@ class CampaignConfig:
             except ValueError as exc:
                 raise ConfigError(f"sweep_values {value:g} for sweep '{self.sweep}': {exc}",
                                   "sweep_values", "sweep") from None
-        if self.trace:
-            # A trace file is named by its value's `:g` label.
-            labels = [f"{value:g}" for value in self.sweep_values]
+        # A value is labelled by its CSV cell and by `:g` (the trace file
+        # names and the CLI's summary lines); each label names one value.
+        for labels in ([_format_cell("sweep_value", value) for value in self.sweep_values],
+                       [f"{value:g}" for value in self.sweep_values]):
             clash = next((label for label in labels if labels.count(label) > 1), None)
             require(clash is None, "sweep_values", self.sweep_values,
-                    "name distinct trace files trace_<param>_<value:g>_run<k>.txt, "
-                    f"but two values read {clash}", "trace")
+                    "have distinct labels in the CSV (%.6f) and in trace file names "
+                    f"and summary lines (:g), but two values read {clash}")
 
 
 def _parse_bool(text: str) -> bool:

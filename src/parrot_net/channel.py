@@ -11,12 +11,15 @@ is the fast form of `receive` for a run: one verdict per transmission.
 A run's gains depend on nothing but its seed and `nakagami_m`, so an urban
 `Medium` reads them as one iterator of gains in dB, drawn ahead on another
 core: from its first frame until it is closed, one helper process, forked
-through `_procs`, runs `nakagami_sampler` over its copy of the run's
-generator and writes the gains through a pipe, and each new frame takes the
-next n - 1 of them.  They are bit-identical to gains drawn in process,
-which is where they are drawn where `os.fork` does not exist.  Where Linux
-tells which CPU the run is on, the helper keeps off it if another usable
-CPU is left.
+through `_procs`, draws them with `Random.gammavariate` from its copy of
+the run's generator and writes them through a pipe, and each new frame
+takes the next n - 1 of them.  They are bit-identical to gains drawn in
+process, which is where they are drawn where `os.fork` does not exist.
+Where Linux tells which CPU the run is on, the helper keeps off it if
+another usable CPU is left.
+
+`receive`, `faded_reception` and `nakagami_gain` are oracles that no run
+calls, and their docstrings say so.
 """
 
 from __future__ import annotations
@@ -131,44 +134,9 @@ def default_budget() -> LinkBudget:
 
 def nakagami_gain(m: float, rng: Random) -> float:
     """Nakagami-m power gain: Gamma with shape m and mean 1.  An oracle:
-    `TestMedium` ties `Medium` to it, and `perfbench/` binds the name."""
+    `TestMedium` ties `Medium` to it, `TestNakagamiSampler` the gain
+    helper's chunks, and `perfbench/` binds the name."""
     return rng.gammavariate(m, 1.0 / m)
-
-
-_LOG4 = math.log(4.0)
-_SG_MAGICCONST = 1.0 + math.log(4.5)
-
-
-def nakagami_sampler(m: float, rng: Random) -> Callable[[], float]:
-    """A draw of `nakagami_gain(m, rng)` with the per-call set-up done once.
-
-    For m > 1 this replays `Random.gammavariate`'s rejection loop (Cheng's
-    algorithm) with its constants worked out here, so it returns the same
-    gains and consumes `rng` exactly as `nakagami_gain` would; for m <= 1
-    gammavariate takes other branches, and the draw defers to it.
-    """
-    beta = 1.0 / m
-    if m <= 1.0:
-        return partial(rng.gammavariate, m, beta)
-    random, log, exp = rng.random, math.log, math.exp
-    ainv = math.sqrt(2.0 * m - 1.0)
-    bbb = m - _LOG4
-    ccc = m + ainv
-
-    def draw() -> float:
-        while True:
-            u1 = random()
-            if not 1e-7 < u1 < 0.9999999:
-                continue
-            u2 = 1.0 - random()
-            v = log(u1 / (1.0 - u1)) / ainv
-            x = m * exp(v)
-            z = u1 * u1 * u2
-            r = bbb + ccc * v - x
-            if r + _SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
-                return x * beta
-
-    return draw
 
 
 # Gains per chunk of the stream: 8 KiB, an eighth of a Linux pipe's
@@ -177,9 +145,11 @@ _CHUNK = 1024
 
 
 def _gain_chunks(m: float, rng: Random) -> Callable[[], array]:
-    """A function that returns the next `_CHUNK` gains of `nakagami_sampler(m,
-    rng)` at each call, in dB (`10 log10` of the power gain)."""
-    draw, log10 = nakagami_sampler(m, rng), math.log10
+    """A function that returns the next `_CHUNK` Nakagami-m gains drawn from
+    `rng` at each call, in dB (`10 log10` of the power gain).  Each gain is
+    the draw of `nakagami_gain(m, rng)`, called here as `rng.gammavariate`
+    so that a wrapper on that name stays out of the helper."""
+    draw, log10 = partial(rng.gammavariate, m, 1.0 / m), math.log10
     return lambda: array("d", [10.0 * log10(draw()) for _ in range(_CHUNK)])
 
 

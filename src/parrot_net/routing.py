@@ -135,12 +135,10 @@ class QTable:
             row = self._rows[dest] = {}
         entry = row.get(neighbor)
         if entry is None:
-            q = 0.0 + alpha * (discount * reward - 0.0)
-            row[neighbor] = _QEntry(q, now)
-        else:
-            q = entry.q + alpha * (discount * reward - entry.q)
-            entry.q = q
-            entry.updated = now
+            entry = row[neighbor] = _QEntry(0.0, now)
+        q = entry.q + alpha * (discount * reward - entry.q)
+        entry.q = q
+        entry.updated = now
         if now < self._oldest:
             self._oldest = now
         return q
@@ -265,7 +263,7 @@ class RoutingState:
 
     # -- chirp production ---------------------------------------------------
 
-    def make_chirp(self, now: float) -> Chirp:
+    def make_chirp(self) -> Chirp:
         """Originate a chirp: full reward, own mobility info, fresh SEQ."""
         self._own_seq = (self._own_seq + 1) % _SEQ_MOD
         return Chirp(
@@ -273,7 +271,7 @@ class RoutingState:
             position=self.self_position,
             predicted_position=self.self_prediction,
             reward=1.0,
-            cohesion=self.phi_coh(now),
+            cohesion=self.phi_coh(),
             seq=self._own_seq,
             ttl=self.params.initial_ttl,
         )
@@ -307,8 +305,8 @@ class RoutingState:
             record.cohesion = chirp.cohesion
         if now < self._quiet_since:
             self._quiet_since = now
-        # gamma(forwarder, now), from the record in hand.
-        discount = self.params.gamma0 * self.phi_let(record, now) * record.cohesion
+        # gamma(forwarder), from the record in hand.
+        discount = self.params.gamma0 * self.phi_let(record) * record.cohesion
         self.table.update(dest, forwarder, self.params.alpha, discount, chirp.reward, now)
 
         ttl = chirp.ttl - 1
@@ -319,21 +317,21 @@ class RoutingState:
             position=self.self_position,
             predicted_position=self.self_prediction,
             reward=self.table.best(dest, self.neighbors),
-            cohesion=self.phi_coh(now),
+            cohesion=self.phi_coh(),
             seq=chirp.seq,
             ttl=ttl,
         ))
 
     # -- metrics ------------------------------------------------------------
 
-    def gamma(self, neighbor: int, now: float) -> float:
+    def gamma(self, neighbor: int) -> float:
         """Variable discount factor for a neighbor; KeyError when unknown.
         A test seam: `handle_chirp` takes the same product from the record
         in hand."""
         record = self.neighbors[neighbor]
-        return self.params.gamma0 * self.phi_let(record, now) * record.cohesion
+        return self.params.gamma0 * self.phi_let(record) * record.cohesion
 
-    def phi_let(self, record: NeighborRecord, now: float) -> float:
+    def phi_let(self, record: NeighborRecord) -> float:
         """Link-expiry factor in [0, 1].
 
         Relative velocity comes from the exchanged self-predictions (the
@@ -358,7 +356,7 @@ class RoutingState:
             return 1.0
         return math.sqrt(let / tau)
 
-    def phi_coh(self, now: float) -> float:
+    def phi_coh(self) -> float:
         """Neighbor-set stability in [0, 1] from the symmetric difference of
         the live set and the last snapshot.  Two empty sets score 1.0.
         Both sizes follow from the size of the intersection."""

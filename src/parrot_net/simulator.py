@@ -394,7 +394,7 @@ class Simulation:
         time = self._chirp_offsets[node.id] + (k + 1) * self._chirp_interval
         if time < self.sc.duration:
             heapq.heappush(self._heap, (time, 1 + node.id, self._emit_chirp, node, k + 1))
-        chirp = node.routing.make_chirp(self.now)
+        chirp = node.routing.make_chirp()
         self.enqueue(node, Frame(node.id, None, "chirp", encode_chirp(chirp), self._chirp_size))
 
     def _emit_packet(self, k: int, _: None) -> None:

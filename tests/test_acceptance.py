@@ -46,7 +46,7 @@ def flood_all(states, adjacency, now, reverse_order=False):
     for state in states.values():
         state.expire(now)
     for origin in sorted(states):
-        chirp = states[origin].make_chirp(now)
+        chirp = states[origin].make_chirp()
         fanout = sorted(adjacency[origin], reverse=reverse_order)
         queue = [(j, chirp, origin) for j in fanout]
         while queue:
@@ -161,7 +161,7 @@ def test_criterion_3_q_fixed_point_on_chain():
         now = 0.5 * (round_index + 1)
         for state in states.values():
             state.expire(now)
-        chirp = states[origin].make_chirp(now)
+        chirp = states[origin].make_chirp()
         queue = [(j, chirp, origin) for j in sorted(chain[origin])]
         while queue:
             node, incoming, forwarder = queue.pop(0)
@@ -185,7 +185,7 @@ def test_criterion_3_q_fixed_point_on_chain():
 def flood_from(states, adjacency, origin, now, blocked=frozenset()):
     """Flood one origination; (sender, receiver) pairs in `blocked` model
     per-link broadcast loss for that round."""
-    chirp = states[origin].make_chirp(now)
+    chirp = states[origin].make_chirp()
     queue = [(j, chirp, origin) for j in sorted(adjacency[origin])
              if (origin, j) not in blocked]
     while queue:

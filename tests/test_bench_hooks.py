@@ -44,7 +44,7 @@ def test_every_hooked_name_is_bound_where_it_is_hooked():
 # `kinematics.predict` (self-predictions are read from the motion table,
 # and no waypoint queue runs out) and `channel.receive`, `channel.faded`
 # and `channel.nakagami` (an urban run's gains are drawn through
-# `channel.nakagami_sampler` by its gain helper process and read in
+# `Random.gammavariate` in its gain helper process and read in
 # `channel.Medium.hears`, so the verdicts' time hides there, inside
 # `simulator.run.self_s`, and the draws' in the helper).
 LIVE_HOOKS = (

@@ -404,12 +404,23 @@ class TestCampaign:
     def test_trace_refuses_values_that_share_a_file_name(self, tmp_path):
         # Both values would write trace_alpha_0.123457_run0.txt.
         overrides = TINY + ["runs=1", "sweep_values=0.1234567,0.1234568", f"out={tmp_path}"]
-        with pytest.raises(ConfigError, match=r"^--set #10 'sweep_values', --set #12 'trace': "
+        with pytest.raises(ConfigError, match=r"^--set #10 'sweep_values': "
                            r"sweep_values .* but two values read 0\.123457$") as err:
             parse_config(None, overrides + ["trace=true"])
-        assert err.value.fields == ("sweep_values", "trace")
-        # Without traces no file is named by the label.
-        assert len(parse_config(None, overrides).sweep_values) == 2
+        assert err.value.fields == ("sweep_values",)
+        # Without traces the CSV rows would still share the label.
+        with pytest.raises(ConfigError, match=r"two values read 0\.123457$"):
+            parse_config(None, overrides)
+
+    @pytest.mark.parametrize("sweep, values, label", [
+        ("alpha", "0.5,0.5", "0.500000"),            # the same seeds run twice
+        ("alpha", "1e-7,2e-7", "0.000000"),          # the CSV cells agree, `:g` not
+        ("speed_kmh", "1000000.1,1000000.2", "1e+06"),  # `:g` agrees, the cells not
+    ])
+    def test_untraced_campaign_refuses_values_that_share_a_label(self, sweep, values, label):
+        with pytest.raises(ConfigError, match=rf"two values read {re.escape(label)}$") as err:
+            parse_config(None, TINY + ["runs=1", f"sweep={sweep}", f"sweep_values={values}"])
+        assert err.value.fields == ("sweep_values",)
 
     @pytest.mark.parametrize("runs", [1, 2])
     def test_cell_without_measured_packets_writes_row(self, tmp_path, runs):

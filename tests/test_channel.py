@@ -1,7 +1,9 @@
 import gc
+import inspect
 import math
 import os
 import signal
+import sys
 from array import array
 from dataclasses import replace
 from random import Random
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from parrot_net import channel
 from parrot_net.channel import (
     RURAL,
     URBAN,
@@ -22,7 +25,6 @@ from parrot_net.channel import (
     faded_reception,
     mean_rx_power,
     nakagami_gain,
-    nakagami_sampler,
     receive,
     reference_loss_db,
 )
@@ -155,15 +157,17 @@ class TestUrbanReception:
 
 
 class TestNakagamiSampler:
+    """The draws of one chunk of urban gains, the body of the gain helper."""
+
     @pytest.mark.parametrize("m", [0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 7.5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_replays_nakagami_gain_exactly(self, m, seed):
-        # Same gains, bit for bit, and the generator left in the same state,
-        # on Cheng's branch (m > 1) and on the fallback (m <= 1).
+        # A chunk is 10 log10 of 1024 gains of `nakagami_gain`, bit for bit,
+        # and leaves the generator in the same state, on Cheng's branch of
+        # gammavariate (m > 1) and on its others (m <= 1).
         expected_rng, rng = Random(seed), Random(seed)
-        expected = [nakagami_gain(m, expected_rng) for _ in range(10_000)]
-        draw = nakagami_sampler(m, rng)
-        assert [draw() for _ in range(10_000)] == expected
+        expected = [10.0 * math.log10(nakagami_gain(m, expected_rng)) for _ in range(1024)]
+        assert channel._gain_chunks(m, rng)().tobytes() == array("d", expected).tobytes()
         assert rng.getstate() == expected_rng.getstate()
 
 
@@ -328,7 +332,7 @@ class TestGainHelper:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 3.7])
     def test_helper_and_in_process_streams_are_bit_identical(self, m, monkeypatch):
         # 500 frames of 7 gains cross three chunk boundaries, each inside a
-        # frame; m <= 1 draws through gammavariate, m > 1 through the replay.
+        # frame; m <= 1 and m > 1 take different branches of gammavariate.
         forked, helper_ran = self.fadings(m, 500)
         monkeypatch.delattr(os, "fork")
         in_process, child_ran = self.fadings(m, 500)
@@ -427,3 +431,45 @@ class TestGainHelper:
         assert len(forks) == 1 and set(taken) == {self.n - 1}
         assert -len(taken) * (self.n - 1) % 1024 < self.n - 1
         no_child_left()
+
+
+class TestFunctionsARunCalls:
+    # The public functions that no run calls, each named an oracle in its
+    # docstring and tied to `Medium` by `TestMedium`.  Every other public
+    # function of `channel`, and every public method of `Medium`, must serve
+    # a run.
+    ORACLES = {
+        "receive",          # one frame's verdict, drawing its own gain
+        "faded_reception",  # the urban verdict for a given gain
+        "nakagami_gain",    # one gain, the draw that `_gain_chunks` makes
+    }
+
+    def test_every_public_function_is_called_or_an_oracle(self, monkeypatch):
+        functions = {
+            fn.__code__: name for name, fn in vars(channel).items()
+            if inspect.isfunction(fn) and fn.__module__ == channel.__name__
+            and not name.startswith("_")
+        }
+        functions.update(
+            (fn.__code__, f"Medium.{name}") for name, fn in vars(Medium).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+        )
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in functions:
+                called.add(functions[frame.f_code])
+
+        # In process, so that the gain helper's draws are profiled too.
+        monkeypatch.delattr(os, "fork")
+        sys.setprofile(profile)
+        try:
+            for model in (RURAL, URBAN):
+                run(Scenario(nodes=4, box=Vec3(200, 200, 100), duration=3.0, warmup=1.0,
+                             cbr_rate=56000, channel=model, seed=3))
+        finally:
+            sys.setprofile(None)
+        assert self.ORACLES <= set(functions.values())
+        assert set(functions.values()) - called - self.ORACLES == set()
+        for name in self.ORACLES:
+            assert "An oracle" in getattr(channel, name).__doc__, name

@@ -187,7 +187,7 @@ class TestLetFloatCore:
         state.update_self(own, own + own_step)
         record = NeighborRecord(last_heard=0.0, position=position,
                                 predicted_position=position + step, cohesion=1.0)
-        assert state.phi_let(record, 0.0) == vec3_phi_let(state, record)
+        assert state.phi_let(record) == vec3_phi_let(state, record)
 
 
 def brute_force_exit_time(dp, dv, r, step, horizon):
@@ -208,7 +208,7 @@ class TestPhiLet:
     def test_long_lived_link_is_neutral(self):
         state = make_state(tau=2.5, r_tx=150.0)
         rec = static_record(Vec3(50, 0, 0))
-        assert state.phi_let(rec, now=0.0) == 1.0
+        assert state.phi_let(rec) == 1.0
 
     def test_expiring_link_square_root_ramp(self):
         state = make_state(tau=2.5, r_tx=150.0)
@@ -217,18 +217,18 @@ class TestPhiLet:
             last_heard=0.0, position=Vec3(134, 0, 0),
             predicted_position=Vec3(134 + 25, 0, 0), cohesion=1.0,
         )
-        assert abs(state.phi_let(rec, 0.0) - math.sqrt(1.6 / 2.5)) < 1e-9
-        assert abs(state.phi_let(rec, 0.0) - 0.8) < 1e-9
+        assert abs(state.phi_let(rec) - math.sqrt(1.6 / 2.5)) < 1e-9
+        assert abs(state.phi_let(rec) - 0.8) < 1e-9
 
     def test_dead_link_is_zero(self):
         state = make_state(tau=2.5, r_tx=150.0)
         rec = static_record(Vec3(500, 0, 0))
-        assert state.phi_let(rec, 0.0) == 0.0
+        assert state.phi_let(rec) == 0.0
 
     def test_zero_horizon_is_neutral(self):
         state = make_state(tau=0.0)
         rec = static_record(Vec3(500, 0, 0))
-        assert state.phi_let(rec, 0.0) == 1.0
+        assert state.phi_let(rec) == 1.0
 
 
 class TestPhiCoh:
@@ -237,24 +237,24 @@ class TestPhiCoh:
         state.neighbors = {1: static_record(Vec3()), 2: static_record(Vec3()),
                            3: static_record(Vec3())}
         state.cohesion_snapshot = frozenset({1, 2, 4})
-        assert abs(state.phi_coh(0.0) - math.sqrt(0.5)) < 1e-9
-        assert abs(state.phi_coh(0.0) - 0.70711) < 1e-5
+        assert abs(state.phi_coh() - math.sqrt(0.5)) < 1e-9
+        assert abs(state.phi_coh() - 0.70711) < 1e-5
 
     def test_identical_sets(self):
         state = make_state()
         state.neighbors = {1: static_record(Vec3()), 2: static_record(Vec3())}
         state.cohesion_snapshot = frozenset({1, 2})
-        assert state.phi_coh(0.0) == 1.0
+        assert state.phi_coh() == 1.0
 
     def test_disjoint_sets(self):
         state = make_state()
         state.neighbors = {1: static_record(Vec3())}
         state.cohesion_snapshot = frozenset({9})
-        assert state.phi_coh(0.0) == 0.0
+        assert state.phi_coh() == 0.0
 
     def test_empty_sets_convention(self):
         state = make_state()
-        assert state.phi_coh(0.0) == 1.0
+        assert state.phi_coh() == 1.0
 
     def test_snapshot_refresh_cadence(self):
         state = make_state(cohesion_window=0.5, now=0.0)
@@ -269,7 +269,7 @@ class TestGamma:
     def test_identity_factors(self):
         state = make_state(gamma0=0.8, tau=2.5, r_tx=150.0)
         state.neighbors[2] = static_record(Vec3(50, 0, 0), cohesion=1.0)
-        assert abs(state.gamma(2, 0.0) - 0.8) < 1e-12
+        assert abs(state.gamma(2) - 0.8) < 1e-12
 
     def test_factor_product(self):
         state = make_state(gamma0=0.8, tau=2.5, r_tx=150.0)
@@ -277,23 +277,23 @@ class TestGamma:
             last_heard=0.0, position=Vec3(134, 0, 0),
             predicted_position=Vec3(159, 0, 0), cohesion=0.70711,
         )
-        assert abs(state.gamma(2, 0.0) - 0.45255) < 1e-4
+        assert abs(state.gamma(2) - 0.45255) < 1e-4
 
     def test_expired_link_annihilates(self):
         state = make_state(gamma0=0.8, tau=2.5, r_tx=150.0)
         state.neighbors[2] = static_record(Vec3(400, 0, 0))
-        assert state.gamma(2, 0.0) == 0.0
+        assert state.gamma(2) == 0.0
 
     def test_unknown_neighbor_raises(self):
         state = make_state()
         with pytest.raises(KeyError):
-            state.gamma(99, 0.0)
+            state.gamma(99)
 
 
 class TestMakeChirp:
     def test_first_chirp(self):
         state = make_state(node_id=5)
-        chirp = state.make_chirp(0.0)
+        chirp = state.make_chirp()
         assert chirp.seq == 1
         assert chirp.reward == 1.0
         assert chirp.originator == 5
@@ -301,17 +301,17 @@ class TestMakeChirp:
 
     def test_isolated_node_cohesion(self):
         state = make_state()
-        assert state.make_chirp(0.0).cohesion == 1.0
+        assert state.make_chirp().cohesion == 1.0
 
     def test_seq_strictly_increments(self):
         state = make_state()
-        seqs = [state.make_chirp(t * 0.5).seq for t in range(5)]
+        seqs = [state.make_chirp().seq for _ in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
 
     def test_carries_own_mobility_info(self):
         state = make_state()
         state.update_self(Vec3(10, 20, 30), Vec3(11, 21, 31))
-        chirp = state.make_chirp(0.0)
+        chirp = state.make_chirp()
         assert chirp.position == Vec3(10, 20, 30)
         assert chirp.predicted_position == Vec3(11, 21, 31)
 
@@ -410,7 +410,7 @@ class TestFigureWalkthrough:
             for state in states.values():
                 state.expire(now)
             order = [self.C, self.F] if round_index % 2 == 0 else [self.F, self.C]
-            chirp = states[self.D].make_chirp(now)
+            chirp = states[self.D].make_chirp()
             queue = [(j, chirp, self.D) for j in order]
             while queue:
                 node, c, fwd = queue.pop(0)
@@ -634,12 +634,12 @@ class TestBoundedness:
                 predicted_position=Vec3(rng.uniform(-300, 300), rng.uniform(-300, 300), 0),
                 cohesion=rng.random(),
             )
-            phi = state.phi_let(rec, 0.0)
+            phi = state.phi_let(rec)
             assert 0.0 <= phi <= 1.0
             state.neighbors = {2: rec}
-            assert 0.0 <= state.phi_coh(0.0) <= 1.0
+            assert 0.0 <= state.phi_coh() <= 1.0
             state.neighbors[2] = rec
-            assert 0.0 <= state.gamma(2, 0.0) <= state.params.gamma0 + 1e-12
+            assert 0.0 <= state.gamma(2) <= state.params.gamma0 + 1e-12
 
 
 class TestParams:
