@@ -33,6 +33,9 @@ from .kinematics import (
 from . import simulator
 from .simulator import DROP_CAUSES, RunMetrics, Scenario, run, stable_seed
 
+# The CSV column of each drop cause, in `DROP_CAUSES` order.
+_DROP_COLUMNS = {cause: "drops_" + cause.replace("-", "_") for cause in DROP_CAUSES}
+
 # Columns are frozen; emit_csv and its golden-header test depend on the order.
 CSV_COLUMNS = (
     "sweep_value",
@@ -44,11 +47,7 @@ CSV_COLUMNS = (
     "latency_p99_s",
     "overhead_bytes",
     "optimal_bound_mean",
-    "drops_no_route",
-    "drops_ttl",
-    "drops_collision",
-    "drops_channel",
-    "drops_queue",
+    *_DROP_COLUMNS.values(),
 )
 
 SWEEPABLE = ("alpha", "gamma0", "tau", "nodes", "speed_kmh")
@@ -160,16 +159,23 @@ _CAMPAIGN_KEYS = ("runs", "sweep", "sweep_values", "out", "trace")
 
 
 def _read_config_lines(path: str) -> list[tuple[str, str, str]]:
+    """The (key, value, `FILE:LINE`) entries of a config file.  A file that
+    cannot be read raises its OSError; one that is not UTF-8 text is a
+    ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     entries = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries.append((key.strip(), value.strip(), f"{path}:{lineno}"))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        entries.append((key.strip(), value.strip(), f"{path}:{lineno}"))
     return entries
 
 
@@ -423,8 +429,8 @@ def aggregate_point(point: PointResult) -> dict[str, float]:
         "overhead_bytes": _mean([m.chirp_bytes for m in runs]),
         "optimal_bound_mean": _mean([m.optimal_bound for m in runs]),
     }
-    for cause in DROP_CAUSES:
-        row[f"drops_{cause.replace('-', '_')}"] = _mean([m.drops[cause] for m in runs])
+    for cause, column in _DROP_COLUMNS.items():
+        row[column] = _mean([m.drops[cause] for m in runs])
     return row
 
 

@@ -106,5 +106,7 @@ def decode_chirp(frame: bytes) -> Chirp:
 
 def seq_newer(incoming: int, stored: int) -> bool:
     """Wraparound-aware freshness: newer iff ahead by less than half the
-    sequence space.  Equal sequence numbers are not newer."""
+    sequence space.  Equal sequence numbers are not newer.  An oracle:
+    `QTable.note_fresh_seq` inlines the rule, and `TestNoteFreshSeq` ties
+    the two."""
     return 0 < (incoming - stored) % _SEQ_MOD < _SEQ_HALF

@@ -9,7 +9,9 @@ The choices of `--protocol` and `--channel` are `simulator.PROTOCOLS` and
 worker processes (see `campaign`), one per usable core; the output does
 not depend on how many there are.
 
-Exit codes: 0 success, 1 configuration error, 2 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 I/O error.  A config file
+that cannot be read is an I/O error, one that is not UTF-8 text a
+configuration error.
 """
 
 from __future__ import annotations
@@ -57,12 +59,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config, args.set, flags)
-    except ConfigError as exc:
-        print(f"parrot-net: config error: {exc}", file=sys.stderr)
-        return 1
-
-    csv_path = os.path.join(cfg.out_dir, "results.csv")
-    try:
+        csv_path = os.path.join(cfg.out_dir, "results.csv")
         os.makedirs(cfg.out_dir, exist_ok=True)
         results = run_campaign(cfg)
         emit_csv(results, csv_path)

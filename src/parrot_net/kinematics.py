@@ -88,9 +88,6 @@ class Vec3:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
@@ -245,7 +242,8 @@ class MotionTable:
         return disk_joined(self.coords, self.base(k), self.n, r, src, dst)
 
     def trace(self, last: int) -> list[tuple[float, tuple[Vec3, ...]]]:
-        """(time, positions) of ticks 0 to `last`."""
+        """(time, positions) of ticks 0 to `last`; a test seam, since a run
+        writes its trace through `write`."""
         return [(k * self.dt, tuple(self.row(k))) for k in range(last + 1)]
 
     def write(self, path: str, last: int) -> None:

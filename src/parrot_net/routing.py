@@ -15,8 +15,10 @@ when some record or entry can have timed out.
 
 A run drives a RoutingState through `update_self`, `make_chirp`,
 `handle_chirp`, `select_next_hop` and `expire`, and the state holds only
-what those read.  `RoutingState.gamma` and `QTable.get`, `row` and
-`destinations` are read-only test seams, and their docstrings say so.
+what those read.  A chirp that a node originates or forwards is built in
+one place, and each Q update takes its discount from `gamma`.
+`QTable.get`, `row` and `destinations` are read-only test seams and
+`compute_let` is an oracle; their docstrings say so.
 """
 
 from __future__ import annotations
@@ -208,6 +210,8 @@ def compute_let(delta_p: Vec3, delta_v: Vec3, r_tx: float) -> float:
     when t1 <= 0 < t2, already dead when both roots are non-positive, and
     not yet available when both are positive.  Equal velocities or no real
     roots degenerate to forever-in-range (inf) or forever-out (0).
+    An oracle: a run reaches the same float core through `phi_let`, and
+    `TestLetFloatCore` ties both to the Vec3 formula.
     """
     return _let(delta_p.x, delta_p.y, delta_p.z, delta_v.x, delta_v.y, delta_v.z, r_tx)
 
@@ -266,15 +270,13 @@ class RoutingState:
     def make_chirp(self) -> Chirp:
         """Originate a chirp: full reward, own mobility info, fresh SEQ."""
         self._own_seq = (self._own_seq + 1) % _SEQ_MOD
-        return Chirp(
-            originator=self.node_id,
-            position=self.self_position,
-            predicted_position=self.self_prediction,
-            reward=1.0,
-            cohesion=self.phi_coh(),
-            seq=self._own_seq,
-            ttl=self.params.initial_ttl,
-        )
+        return self._chirp(self.node_id, 1.0, self._own_seq, self.params.initial_ttl)
+
+    def _chirp(self, originator: int, reward: float, seq: int, ttl: int) -> Chirp:
+        """The chirp this node sends: its own position, prediction and
+        cohesion, with the given originator, reward, SEQ and TTL."""
+        return Chirp(originator, self.self_position, self.self_prediction, reward,
+                     self.phi_coh(), seq, ttl)
 
     # -- chirp consumption --------------------------------------------------
 
@@ -305,29 +307,19 @@ class RoutingState:
             record.cohesion = chirp.cohesion
         if now < self._quiet_since:
             self._quiet_since = now
-        # gamma(forwarder), from the record in hand.
-        discount = self.params.gamma0 * self.phi_let(record) * record.cohesion
-        self.table.update(dest, forwarder, self.params.alpha, discount, chirp.reward, now)
+        self.table.update(dest, forwarder, self.params.alpha, self.gamma(forwarder),
+                          chirp.reward, now)
 
         ttl = chirp.ttl - 1
         if ttl <= 0:
             return _TTL
-        return Forward(Chirp(
-            originator=dest,
-            position=self.self_position,
-            predicted_position=self.self_prediction,
-            reward=self.table.best(dest, self.neighbors),
-            cohesion=self.phi_coh(),
-            seq=chirp.seq,
-            ttl=ttl,
-        ))
+        return Forward(self._chirp(dest, self.table.best(dest, self.neighbors), chirp.seq, ttl))
 
     # -- metrics ------------------------------------------------------------
 
     def gamma(self, neighbor: int) -> float:
-        """Variable discount factor for a neighbor; KeyError when unknown.
-        A test seam: `handle_chirp` takes the same product from the record
-        in hand."""
+        """Variable discount factor for a neighbor, the one `handle_chirp`
+        scales each Q update by; KeyError when unknown."""
         record = self.neighbors[neighbor]
         return self.params.gamma0 * self.phi_let(record) * record.cohesion
 

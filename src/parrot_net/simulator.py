@@ -246,7 +246,8 @@ def optimal_pdr_bound(
     Load-related loss is invisible to this figure.
     A run counts the same figure online, one search per tick at its
     measured emissions (`RunMetrics.optimal_bound`); this function is the
-    post-hoc reference over a trace.
+    post-hoc reference over a trace.  An oracle: `TestOnlineBound` ties the
+    run's figure to it.
     It is a PDR upper bound under the rural disk channel; under urban
     fading, where a frame can cross more than r_tx, it is a
     disk-connectivity reference and PDR may exceed it.
@@ -341,7 +342,8 @@ class Simulation:
 
     @property
     def trace(self) -> list[tuple[float, tuple[Vec3, ...]]]:
-        """(time, positions) of every mobility tick run so far, t = 0 first."""
+        """(time, positions) of every mobility tick run so far, t = 0 first;
+        a test seam."""
         return self.motion.trace(self._tick_index)
 
     # -- scheduling ---------------------------------------------------------

@@ -39,24 +39,32 @@ def static_states(node_ids, params):
     return states
 
 
-def flood_all(states, adjacency, now, reverse_order=False):
-    """One chirp round: every node originates, copies flood breadth-first.
-    `reverse_order` flips the forwarding fanout so backup entries see both
-    arrival orders across rounds, as jittered radios produce."""
+def flood_from(states, adjacency, origin, now, blocked=frozenset(), reverse=False):
+    """Flood one origination breadth-first; (sender, receiver) pairs in
+    `blocked` model per-link broadcast loss for that round.  `reverse`
+    flips the forwarding fanout, from the highest id down."""
+    chirp = states[origin].make_chirp()
+    queue = [(j, chirp, origin) for j in sorted(adjacency[origin], reverse=reverse)
+             if (origin, j) not in blocked]
+    while queue:
+        node, incoming, forwarder = queue.pop(0)
+        action = states[node].handle_chirp(incoming, forwarder, now)
+        if isinstance(action, Forward):
+            queue.extend(
+                (nxt, action.chirp, node)
+                for nxt in sorted(adjacency[node], reverse=reverse)
+                if nxt != forwarder and (node, nxt) not in blocked
+            )
+
+
+def flood_all(states, adjacency, now, reverse=False):
+    """One chirp round: every state expires, then every node originates in
+    id order.  Flipping `reverse` from round to round lets backup entries
+    see both arrival orders, as jittered radios produce."""
     for state in states.values():
         state.expire(now)
     for origin in sorted(states):
-        chirp = states[origin].make_chirp()
-        fanout = sorted(adjacency[origin], reverse=reverse_order)
-        queue = [(j, chirp, origin) for j in fanout]
-        while queue:
-            node, incoming, forwarder = queue.pop(0)
-            action = states[node].handle_chirp(incoming, forwarder, now)
-            if isinstance(action, Forward):
-                followers = sorted(adjacency[node], reverse=reverse_order)
-                queue.extend(
-                    (nxt, action.chirp, node) for nxt in followers if nxt != forwarder
-                )
+        flood_from(states, adjacency, origin, now, reverse=reverse)
 
 
 def follow_route(states, start, dest, max_hops):
@@ -182,23 +190,6 @@ def test_criterion_3_q_fixed_point_on_chain():
     report(3, f"chain Q converged to 0.8^h (h=1..5) within {rounds} chirp rounds")
 
 
-def flood_from(states, adjacency, origin, now, blocked=frozenset()):
-    """Flood one origination; (sender, receiver) pairs in `blocked` model
-    per-link broadcast loss for that round."""
-    chirp = states[origin].make_chirp()
-    queue = [(j, chirp, origin) for j in sorted(adjacency[origin])
-             if (origin, j) not in blocked]
-    while queue:
-        node, incoming, forwarder = queue.pop(0)
-        action = states[node].handle_chirp(incoming, forwarder, now)
-        if isinstance(action, Forward):
-            queue.extend(
-                (nxt, action.chirp, node)
-                for nxt in sorted(adjacency[node])
-                if nxt != forwarder and (node, nxt) not in blocked
-            )
-
-
 def converge_lossy_triangle(gamma0):
     """Triangle 0-1-2 with the destination 3 hanging off node 2.  The link
     from 2 alternates which triangle corner misses its broadcast, so both
@@ -222,8 +213,7 @@ def test_criterion_4_loop_freedom():
         params = RoutingParams(alpha=0.5, gamma0=0.8)
         states = static_states(adjacency.keys(), params)
         for round_index in range(24):
-            flood_all(states, adjacency, 0.5 * (round_index + 1),
-                      reverse_order=round_index % 2 == 1)
+            flood_all(states, adjacency, 0.5 * (round_index + 1), reverse=round_index % 2 == 1)
         n = len(adjacency)
         for dest in adjacency:
             for start in adjacency:

@@ -562,6 +562,24 @@ class TestCli:
         assert code == 2
         assert "I/O error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("make", [
+        lambda path: None,                          # missing
+        lambda path: path.mkdir(),                  # a directory
+    ], ids=["missing", "directory"])
+    def test_unreadable_config_exit_two(self, make, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        make(path)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "I/O error" in err and str(path) in err
+
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"nodes = 4\n# caf\xe9\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {path}: not UTF-8 text" in err
+
     def test_protocol_and_channel_flags(self, tmp_path):
         out = tmp_path / "res"
         code = cli.main(

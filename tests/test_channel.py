@@ -1,9 +1,7 @@
 import gc
-import inspect
 import math
 import os
 import signal
-import sys
 from array import array
 from dataclasses import replace
 from random import Random
@@ -431,45 +429,3 @@ class TestGainHelper:
         assert len(forks) == 1 and set(taken) == {self.n - 1}
         assert -len(taken) * (self.n - 1) % 1024 < self.n - 1
         no_child_left()
-
-
-class TestFunctionsARunCalls:
-    # The public functions that no run calls, each named an oracle in its
-    # docstring and tied to `Medium` by `TestMedium`.  Every other public
-    # function of `channel`, and every public method of `Medium`, must serve
-    # a run.
-    ORACLES = {
-        "receive",          # one frame's verdict, drawing its own gain
-        "faded_reception",  # the urban verdict for a given gain
-        "nakagami_gain",    # one gain, the draw that `_gain_chunks` makes
-    }
-
-    def test_every_public_function_is_called_or_an_oracle(self, monkeypatch):
-        functions = {
-            fn.__code__: name for name, fn in vars(channel).items()
-            if inspect.isfunction(fn) and fn.__module__ == channel.__name__
-            and not name.startswith("_")
-        }
-        functions.update(
-            (fn.__code__, f"Medium.{name}") for name, fn in vars(Medium).items()
-            if inspect.isfunction(fn) and not name.startswith("_")
-        )
-        called = set()
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in functions:
-                called.add(functions[frame.f_code])
-
-        # In process, so that the gain helper's draws are profiled too.
-        monkeypatch.delattr(os, "fork")
-        sys.setprofile(profile)
-        try:
-            for model in (RURAL, URBAN):
-                run(Scenario(nodes=4, box=Vec3(200, 200, 100), duration=3.0, warmup=1.0,
-                             cbr_rate=56000, channel=model, seed=3))
-        finally:
-            sys.setprofile(None)
-        assert self.ORACLES <= set(functions.values())
-        assert set(functions.values()) - called - self.ORACLES == set()
-        for name in self.ORACLES:
-            assert "An oracle" in getattr(channel, name).__doc__, name
