@@ -31,6 +31,7 @@ from parrot_net.kinematics import MobilityConfig, MotionTable, Vec3, make_random
 from parrot_net.simulator import Frame, Scenario, run
 
 from conftest import no_child_left
+from test_public_surface import assert_called_or_listed
 
 
 class TestMeanRxPower:
@@ -429,3 +430,10 @@ class TestGainHelper:
         assert len(forks) == 1 and set(taken) == {self.n - 1}
         assert -len(taken) * (self.n - 1) % 1024 < self.n - 1
         no_child_left()
+
+
+class TestFunctionsARunCalls:
+    def test_every_public_function_is_called_or_an_oracle(self):
+        # The channel share of the one public-surface guard: the functions
+        # of `channel`, the methods of `Medium` and the channel oracles.
+        assert_called_or_listed("channel.")

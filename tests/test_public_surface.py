@@ -1,10 +1,15 @@
 """Every public function, method and property of the library serves a run,
 unless it is listed below as an oracle or a test seam and its docstring
-says so."""
+says so.  `tests/test_routing.py` and `tests/test_channel.py` check their
+module's share through `assert_called_or_listed`."""
 
+import functools
 import inspect
 import os
 import sys
+import tempfile
+
+import pytest
 
 from parrot_net import campaign, channel, chirp, cli, errors, kinematics, routing, simulator
 from parrot_net.kinematics import MobilityConfig, Vec3
@@ -66,8 +71,11 @@ def public_functions() -> dict[str, object]:
     return found
 
 
-def test_every_public_name_is_called_or_listed(tmp_path, monkeypatch):
-    public = public_functions()
+@functools.cache
+def run_calls() -> frozenset:
+    """The code objects that the library's entry points call: a run of every
+    protocol under each channel, a traced two-value CLI campaign and the
+    prediction study, profiled once per session."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -76,30 +84,46 @@ def test_every_public_name_is_called_or_listed(tmp_path, monkeypatch):
 
     # In process, so that the gain draws and the campaign cells are
     # profiled too.
-    monkeypatch.delattr(os, "fork")
-    sys.setprofile(profile)
-    try:
-        # A box small enough that packets arrive, so that the latency
-        # figures are computed.
-        for protocol in PROTOCOLS:
-            for model in channel.CHANNEL_MODELS:
-                run(Scenario(nodes=4, box=Vec3(200, 200, 100), duration=3.0, warmup=1.0,
-                             cbr_rate=56000, protocol=protocol, channel=model, seed=3))
-        code = cli.main(["run", "--runs", "2", "--trace", "--out", str(tmp_path)] + [
-            f"--set={kv}" for kv in ("nodes=4", "box_x=200", "box_y=200", "box_z=100",
-                                     "duration=3", "warmup=1", "sweep=tau",
-                                     "sweep_values=0,2.5")])
-        campaign.prediction_accuracy_study(10.0, MobilityConfig(), duration=5.0, trials=1)
-    finally:
-        sys.setprofile(None)
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as out:
+        patch.delattr(os, "fork")
+        sys.setprofile(profile)
+        try:
+            # A box small enough that packets arrive, so that the latency
+            # figures are computed.
+            for protocol in PROTOCOLS:
+                for model in channel.CHANNEL_MODELS:
+                    run(Scenario(nodes=4, box=Vec3(200, 200, 100), duration=3.0,
+                                 warmup=1.0, cbr_rate=56000, protocol=protocol,
+                                 channel=model, seed=3))
+            code = cli.main(["run", "--runs", "2", "--trace", "--out", out] + [
+                f"--set={kv}" for kv in ("nodes=4", "box_x=200", "box_y=200", "box_z=100",
+                                         "duration=3", "warmup=1", "sweep=tau",
+                                         "sweep_values=0,2.5")])
+            campaign.prediction_accuracy_study(10.0, MobilityConfig(), duration=5.0,
+                                               trials=1)
+        finally:
+            sys.setprofile(None)
     assert code == 0
+    return frozenset(seen)
 
+
+def assert_called_or_listed(prefix: str = "") -> None:
+    """Fail on a public name starting with `prefix` that no run calls and
+    that is not listed, on a listed one that is gone or that a run calls, and
+    on a listed one whose docstring does not say why it is kept."""
+    public = {name: fn for name, fn in public_functions().items()
+              if name.startswith(prefix)}
+    listed = {name for name in ORACLES | SEAMS | AT_IMPORT if name.startswith(prefix)}
+    seen = run_calls()
     called = {name for name, fn in public.items() if fn.__code__ in seen}
-    listed = ORACLES | SEAMS | AT_IMPORT
     assert listed - set(public) == set(), "listed names that do not exist"
     assert called & listed == set(), "listed names that a run calls"
     assert set(public) - called - listed == set(), "public names that no run calls"
-    for name in ORACLES:
+    for name in listed & ORACLES:
         assert "An oracle" in public[name].__doc__, name
-    for name in SEAMS:
+    for name in listed & SEAMS:
         assert "test seam" in public[name].__doc__, name
+
+
+def test_every_public_name_is_called_or_listed():
+    assert_called_or_listed()

@@ -22,6 +22,8 @@ from parrot_net.routing import (
     compute_let,
 )
 
+from test_public_surface import assert_called_or_listed
+
 
 def make_state(node_id=1, now=0.0, tau=2.5, r_tx=150.0, **params):
     state = RoutingState(node_id, RoutingParams(**params), now=now, tau=tau, r_tx=r_tx)
@@ -688,3 +690,10 @@ class TestParams:
     def test_non_finite_rejected_naming_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field} must be finite"):
             RoutingParams(**{field: value}).validate()
+
+
+class TestMethodsARunCalls:
+    def test_every_public_method_is_called_or_a_seam(self):
+        # The routing share of the one public-surface guard: the methods of
+        # `QTable` and `RoutingState`, the routing oracle and the seams.
+        assert_called_or_listed("routing.")
